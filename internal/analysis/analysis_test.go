@@ -36,37 +36,36 @@ func TestSimdetGolden(t *testing.T) {
 		"./testdata/src/simdet/sched")
 }
 
-// TestPartitionGolden exercises all three partition rules. The fixture
-// spans two packages: the helper's global write reaches the checked
-// package only through helper's exported FnEffects fact, so a matched
-// want on the call site doubles as the facts export/import round trip
-// across a package boundary.
-func TestPartitionGolden(t *testing.T) {
-	runGolden(t, NewPartition("latsim/internal/analysis/testdata/src/partition/node"),
-		"./testdata/src/partition/node")
+// TestHookpureCrossPackageFacts is the facts round trip across a
+// package boundary: helper's global write reaches the hook method in
+// relay only through helper's exported FnEffects fact, so the matched
+// want on the call site proves the export and the import.
+func TestHookpureCrossPackageFacts(t *testing.T) {
+	runGolden(t, NewHookpure("latsim/internal/analysis/testdata/src/hookpure/relay.Recorder"),
+		"./testdata/src/hookpure/relay")
 }
 
-// TestPartitionEmptyMarker pins the marker grammar: a suppression with
+// TestHookpureEmptyMarker pins the marker grammar: a suppression with
 // no reason is itself a diagnostic and suppresses nothing. (Direct
 // assertions, not want comments — the marker's own line cannot also
 // carry an expectation comment.)
-func TestPartitionEmptyMarker(t *testing.T) {
-	diags, err := Run("", []*Analyzer{NewPartition("latsim/internal/analysis/testdata/src/partition/empty")},
-		"./testdata/src/partition/empty")
+func TestHookpureEmptyMarker(t *testing.T) {
+	diags, err := Run("", []*Analyzer{NewHookpure("latsim/internal/analysis/testdata/src/hookpure/empty.Recorder")},
+		"./testdata/src/hookpure/empty")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gotEmpty, gotVar bool
+	var gotEmpty, gotAlloc bool
 	for _, d := range diags {
 		if strings.Contains(d.Message, "marker requires a reason") {
 			gotEmpty = true
 		}
-		if strings.Contains(d.Message, "package-level var counter") {
-			gotVar = true
+		if strings.Contains(d.Message, "(empty.Recorder).Tick allocates") {
+			gotAlloc = true
 		}
 	}
-	if !gotEmpty || !gotVar {
-		t.Fatalf("want an empty-marker diagnostic and an unsuppressed var diagnostic, got %v", diags)
+	if !gotEmpty || !gotAlloc {
+		t.Fatalf("want an empty-marker diagnostic and an unsuppressed allocation diagnostic, got %v", diags)
 	}
 }
 
@@ -174,18 +173,18 @@ func TestFactsDocRoundTrip(t *testing.T) {
 // and reproduces the first run's diagnostics exactly.
 func TestRunnerCache(t *testing.T) {
 	r := &Runner{
-		Analyzers: []*Analyzer{NewPartition("latsim/internal/analysis/testdata/src/partition/node")},
+		Analyzers: []*Analyzer{NewHookpure("latsim/internal/analysis/testdata/src/hookpure/relay.Recorder")},
 		CacheDir:  t.TempDir(),
 		Salt:      "test",
 	}
-	cold, coldStats, err := r.Run("./testdata/src/partition/node")
+	cold, coldStats, err := r.Run("./testdata/src/hookpure/relay")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if coldStats.Analyzed != coldStats.Packages || coldStats.Cached != 0 {
 		t.Fatalf("cold run stats = %+v", coldStats)
 	}
-	warm, warmStats, err := r.Run("./testdata/src/partition/node")
+	warm, warmStats, err := r.Run("./testdata/src/hookpure/relay")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +199,7 @@ func TestRunnerCache(t *testing.T) {
 	}
 	// A different salt (a rebuilt tool) must invalidate everything.
 	r.Salt = "rebuilt"
-	_, saltStats, err := r.Run("./testdata/src/partition/node")
+	_, saltStats, err := r.Run("./testdata/src/hookpure/relay")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@ import (
 
 // FnEffects is the interprocedural side-effect summary of one function,
 // exported as an object fact so dependent packages can reason about
-// calls into it without seeing its body. hookpure and partition each
-// compute and export these under their own namespace.
+// calls into it without seeing its body. hookpure computes and exports
+// these under its namespace.
 type FnEffects struct {
 	// Allocs are the heap-allocation sites (make/new/append, escaping
 	// composite literals, string building, fmt) not justified by a

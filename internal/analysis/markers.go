@@ -18,7 +18,6 @@ import (
 //
 // Markers in use:
 //
-//	//parallel:shared <reason>   partition: deliberately cross-node/global state
 //	//hookpure:alloc <reason>    hookpure: justified amortized allocation
 //	//hookpure:cold <reason>     hookpure: method is not on the hot path
 //	//schemaver:exempt <reason>  schemaver: field excluded from the fingerprint
@@ -31,7 +30,7 @@ type markerAt struct {
 }
 
 // markerLines collects every marker with the given prefix (e.g.
-// "//parallel:shared") in a file, keyed by the line it annotates: its
+// "//hookpure:alloc") in a file, keyed by the line it annotates: its
 // own line and the line below both map to the marker.
 func markerLines(fset *token.FileSet, file *ast.File, prefix string) map[int]markerAt {
 	lines := map[int]markerAt{}

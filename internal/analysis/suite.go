@@ -9,7 +9,6 @@ func All() []*Analyzer {
 		NewPoolsafety(),
 		NewNilsafe(),
 		NewSimdet(),
-		NewPartition(),
 		NewHookpure(),
 		NewSchemaver(),
 	}

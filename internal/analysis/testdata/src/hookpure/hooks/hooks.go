@@ -25,8 +25,8 @@ func (r *Recorder) Tick(n int) {
 
 // Defer schedules kernel work; the hazard is visible only through the
 // sim package's exported FnEffects facts.
-func (r *Recorder) Defer(fn func()) {
-	r.k.After(1, fn) // want `hook method \(hooks\.Recorder\)\.Defer schedules kernel work`
+func (r *Recorder) Defer(a sim.Actor) {
+	r.k.AfterTask(1, a) // want `hook method \(hooks\.Recorder\)\.Defer schedules kernel work`
 }
 
 // Tune writes simulation-model state through a model-package pointer.

@@ -69,9 +69,16 @@ const (
 	contLockIssue
 	contUnlockIssue
 	contBarrierIssue
-	contWake       // long-latency completion: wake the blocked context
-	contInlineDone // short no-switch stall completion: account and resume
-	contWBRead     // buffered write to the read's line retired: retry
+	contWake          // long-latency completion: wake the blocked context
+	contInlineDone    // short no-switch stall completion: account and resume
+	contWBRead        // buffered write to the read's line retired: retry
+	contWriteSpace    // write-buffer slot freed: retry the buffered write
+	contUnlockSpace   // write-buffer slot freed: retry the buffered unlock
+	contBarrierSpace  // write-buffer slot freed: retry the arrival store
+	contPrefetchSpace // prefetch-buffer slot freed: retry the prefetch
+	contLockFenced    // WC fence drained: request the lock
+	contUnlockFenced  // WC fence drained: buffer the unlock
+	contBarrierArrive // arrival store retired: wait for the barrier release
 )
 
 // Context is one hardware context: a register set bound to one application
@@ -90,11 +97,6 @@ type Context struct {
 	stallStart sim.Time     // start of a short no-switch stall
 	stallCause stats.Bucket // its bucket before inline attribution
 	blockStart sim.Time     // when the context last blocked (obs latency)
-
-	// Pre-built closures for the callback-based msync/memsys interfaces
-	// (one allocation per context per run instead of per operation).
-	wakeFn    func()
-	barrierFn func()
 
 	evt ctxEvent // kernel-event identity (see ctxEvent)
 }
@@ -185,8 +187,6 @@ func (p *Processor) AddWorker(pid, nprocs int, body func(*Env)) {
 	c := &Context{idx: len(p.ctxs), p: p}
 	c.evt.c = c
 	c.env = &Env{c: c, pid: pid, nprocs: nprocs}
-	c.wakeFn = func() { p.wake(c) }
-	c.barrierFn = func() { c.cur.bar.ArriveRetired(p.node, c.wakeFn) }
 	c.co = sim.NewCoroutine(func() { body(c.env) })
 	p.ctxs = append(p.ctxs, c)
 }
@@ -197,7 +197,7 @@ func (p *Processor) Start() {
 		p.doneAt = 0
 		return
 	}
-	p.k.AtActor(0, p)
+	p.k.AtTask(0, p)
 }
 
 // Done reports whether every context has finished.
@@ -307,6 +307,37 @@ func (p *Processor) step(c *Context) {
 		p.exec(c)
 	case contWBRead:
 		p.wbReadRetired(c)
+	case contWriteSpace:
+		if p.node.WBEnqueue(c.cur.addr, false, nil) {
+			p.wake(c)
+		} else {
+			p.node.WBOnSpace(c)
+		}
+	case contUnlockSpace:
+		if p.node.WBEnqueueRelease(c.cur.lock.Addr(), c.cur.lock, nil) {
+			p.wake(c)
+		} else {
+			p.node.WBOnSpace(c)
+		}
+	case contBarrierSpace:
+		p.enqueueArrival(c)
+	case contPrefetchSpace:
+		if p.node.PFEnqueue(c.cur.addr, c.cur.excl) {
+			p.account(stats.PrefetchOverhead, p.k.Now()-c.stallStart)
+			p.exec(c)
+		} else {
+			p.node.PFOnSpace(c)
+		}
+	case contLockFenced:
+		p.acquireLock(c)
+	case contUnlockFenced:
+		c.cont = contWake
+		if !p.node.WBEnqueueRelease(c.cur.lock.Addr(), c.cur.lock, c) {
+			panic("cpu: write buffer full after drain fence")
+		}
+	case contBarrierArrive:
+		c.cont = contWake
+		c.cur.bar.ArriveRetired(p.node, c)
 	default:
 		panic(fmt.Sprintf("cpu: context stepped with continuation %d", c.cont))
 	}
@@ -329,7 +360,7 @@ func (p *Processor) delayThen(c *Context, d sim.Time, cont contKind) {
 			return
 		}
 	}
-	p.k.AfterActor(d, &c.evt)
+	p.k.AfterTask(d, &c.evt)
 }
 
 // dispatch selects the next ready context, paying the switch penalty when
@@ -354,7 +385,7 @@ func (p *Processor) dispatch() {
 		p.account(stats.Switching, pen)
 		p.lastRun = next
 		p.switchTo = next
-		p.k.AfterActor(pen, p)
+		p.k.AfterTask(pen, p)
 		return
 	}
 	p.exec(next)
@@ -526,7 +557,7 @@ func (p *Processor) doRead(c *Context) {
 		// bypass it.
 		c.stallStart = p.k.Now()
 		c.cont = contWBRead
-		p.node.WBOnLineRetireTask(a, sim.ActorTask(c))
+		p.node.WBOnLineRetire(a, c)
 		return
 	}
 	// Classify after the 1-cycle issue, at the same instant the access
@@ -542,7 +573,7 @@ func (p *Processor) doRead(c *Context) {
 func (p *Processor) wbReadRetired(c *Context) {
 	a := c.cur.addr
 	if p.node.WBPendingLine(a) {
-		p.node.WBOnLineRetireTask(a, sim.ActorTask(c))
+		p.node.WBOnLineRetire(a, c)
 		return
 	}
 	p.account(p.inlineStallBucket(stats.ReadStall), p.k.Now()-c.stallStart)
@@ -561,11 +592,11 @@ func (p *Processor) classifyRead(c *Context) {
 		c.stallStart = p.k.Now()
 		c.stallCause = stats.ReadStall
 		c.cont = contInlineDone
-		p.node.ReadTask(a, sim.ActorTask(c))
+		p.node.ReadTask(a, c)
 	case memsys.ClassMiss:
 		p.blockOn(c, stats.ReadStall)
 		c.cont = contWake
-		p.node.ReadTask(a, sim.ActorTask(c))
+		p.node.ReadTask(a, c)
 	}
 }
 
@@ -596,14 +627,14 @@ func (p *Processor) scWrite(c *Context, a mem.Addr) {
 		c.stallStart = p.k.Now()
 		c.stallCause = stats.WriteStall
 		c.cont = contInlineDone
-		if !p.node.WBEnqueueTask(a, false, sim.ActorTask(c)) {
+		if !p.node.WBEnqueue(a, false, c) {
 			panic("cpu: write buffer full under SC")
 		}
 		return
 	}
 	p.blockOn(c, stats.WriteStall)
 	c.cont = contWake
-	if !p.node.WBEnqueueTask(a, false, sim.ActorTask(c)) {
+	if !p.node.WBEnqueue(a, false, c) {
 		panic("cpu: write buffer full under SC")
 	}
 }
@@ -611,20 +642,13 @@ func (p *Processor) scWrite(c *Context, a mem.Addr) {
 // rcWrite buffers the write and continues; it only stalls when the write
 // buffer is full.
 func (p *Processor) rcWrite(c *Context, a mem.Addr) {
-	if p.node.WBEnqueueTask(a, false, sim.Task{}) {
+	if p.node.WBEnqueue(a, false, nil) {
 		p.exec(c)
 		return
 	}
 	p.blockOn(c, stats.WriteStall)
-	var try func()
-	try = func() {
-		if p.node.WBEnqueueTask(a, false, sim.Task{}) {
-			p.wake(c)
-			return
-		}
-		p.node.WBOnSpace(try)
-	}
-	p.node.WBOnSpace(try)
+	c.cont = contWriteSpace
+	p.node.WBOnSpace(c)
 }
 
 func (p *Processor) issuePrefetch(c *Context) {
@@ -635,32 +659,29 @@ func (p *Processor) issuePrefetch(c *Context) {
 	}
 	// Prefetch buffer full: the processor stalls (overhead) until a slot
 	// frees.
-	start := p.k.Now()
-	var try func()
-	try = func() {
-		if p.node.PFEnqueue(a, excl) {
-			p.account(stats.PrefetchOverhead, p.k.Now()-start)
-			p.exec(c)
-			return
-		}
-		p.node.PFOnSpace(try)
-	}
-	p.node.PFOnSpace(try)
+	c.stallStart = p.k.Now()
+	c.cont = contPrefetchSpace
+	p.node.PFOnSpace(c)
 }
 
 func (p *Processor) issueLock(c *Context) {
-	lk := c.cur.lock
 	p.blockOn(c, stats.SyncStall)
 	if p.cfg.Model == config.WC {
 		// Weak consistency: a synchronization access is a full fence —
 		// all previous accesses (and their invalidations) complete
 		// before it issues.
-		p.node.WBOnDrained(func() {
-			lk.Acquire(p.node, c.wakeFn)
-		})
+		c.cont = contLockFenced
+		p.node.WBOnDrained(c)
 		return
 	}
-	lk.Acquire(p.node, c.wakeFn)
+	p.acquireLock(c)
+}
+
+// acquireLock requests the lock for the blocked context; the grant wakes
+// it.
+func (p *Processor) acquireLock(c *Context) {
+	c.cont = contWake
+	c.cur.lock.Acquire(p.node, c)
 }
 
 func (p *Processor) issueUnlock(c *Context) {
@@ -671,32 +692,21 @@ func (p *Processor) issueUnlock(c *Context) {
 		// invalidations are acknowledged. PC: it simply performs in
 		// program order behind the buffered writes. Either way the
 		// processor continues immediately.
-		if p.node.WBEnqueueRelease(lk.Addr(), lk, sim.Task{}) {
+		if p.node.WBEnqueueRelease(lk.Addr(), lk, nil) {
 			p.exec(c)
 			return
 		}
 		p.blockOn(c, stats.SyncStall)
-		var try func()
-		try = func() {
-			if p.node.WBEnqueueRelease(lk.Addr(), lk, sim.Task{}) {
-				p.wake(c)
-				return
-			}
-			p.node.WBOnSpace(try)
-		}
-		p.node.WBOnSpace(try)
+		c.cont = contUnlockSpace
+		p.node.WBOnSpace(c)
 		return
 	}
 	if p.cfg.Model == config.WC {
 		// Weak consistency: the unlock is a synchronization access —
 		// wait for everything before it, then stall until it completes.
 		p.blockOn(c, stats.SyncStall)
-		c.cont = contWake
-		p.node.WBOnDrained(func() {
-			if !p.node.WBEnqueueRelease(lk.Addr(), lk, sim.ActorTask(c)) {
-				panic("cpu: write buffer full after drain fence")
-			}
-		})
+		c.cont = contUnlockFenced
+		p.node.WBOnDrained(c)
 		return
 	}
 	// SC: stall until the unlock store retires. A secondary-owned unlock
@@ -707,30 +717,32 @@ func (p *Processor) issueUnlock(c *Context) {
 		c.stallStart = p.k.Now()
 		c.stallCause = stats.SyncStall
 		c.cont = contInlineDone
-		if !p.node.WBEnqueueRelease(lk.Addr(), lk, sim.ActorTask(c)) {
+		if !p.node.WBEnqueueRelease(lk.Addr(), lk, c) {
 			panic("cpu: write buffer full under SC")
 		}
 		return
 	}
 	p.blockOn(c, stats.SyncStall)
 	c.cont = contWake
-	if !p.node.WBEnqueueRelease(lk.Addr(), lk, sim.ActorTask(c)) {
+	if !p.node.WBEnqueueRelease(lk.Addr(), lk, c) {
 		panic("cpu: write buffer full under SC")
 	}
 }
 
 func (p *Processor) issueBarrier(c *Context) {
-	b := c.cur.bar
 	p.blockOn(c, stats.SyncStall)
-	// The arrival increment is a release-marked write on the barrier
-	// counter: it waits for all previous writes and acks (the barrier's
-	// fence semantics) and serializes through the counter's home node.
-	var try func()
-	try = func() {
-		if p.node.WBEnqueueTask(b.CounterAddr(), true, sim.FuncTask(c.barrierFn)) {
-			return
-		}
-		p.node.WBOnSpace(try)
+	p.enqueueArrival(c)
+}
+
+// enqueueArrival buffers the blocked context's barrier arrival, or waits
+// for a write-buffer slot to try again. The arrival increment is a
+// release-marked write on the barrier counter: it waits for all previous
+// writes and acks (the barrier's fence semantics) and serializes through
+// the counter's home node.
+func (p *Processor) enqueueArrival(c *Context) {
+	c.cont = contBarrierArrive
+	if !p.node.WBEnqueue(c.cur.bar.CounterAddr(), true, c) {
+		c.cont = contBarrierSpace
+		p.node.WBOnSpace(c)
 	}
-	try()
 }

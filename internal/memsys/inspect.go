@@ -11,7 +11,6 @@ import (
 // Conversions between the memsys enums and the check package's mirrors
 // are explicit switches so the two cannot drift silently.
 type inspector struct {
-	//parallel:shared read-only checker view over the whole machine; never written after construction
 	nodes []*Node
 }
 

@@ -179,6 +179,56 @@ func TestMSHRMergesSameLineReads(t *testing.T) {
 	}
 }
 
+// TestNilCompletionMergesIntoMiss covers the spin-refetch path: a read
+// with a nil completion (the line only needs to be cached) that shares
+// an in-flight miss with a real waiter. The miss must complete, skip the
+// nil entry in its waiter list, and still fire the real waiter, whichever
+// of the two started the miss. A nil secondary-hit or uncached read is a
+// no-op completion too.
+func TestNilCompletionMergesIntoMiss(t *testing.T) {
+	for _, nilFirst := range []bool{true, false} {
+		r := newRig(2, nil)
+		a := r.alloc.AllocOnNode(mem.LineSize, 1)
+		fired := 0
+		real := sim.Func(func() { fired++ })
+		if nilFirst {
+			r.nodes[0].ReadTask(a, nil)
+			r.nodes[0].ReadTask(a, real)
+		} else {
+			r.nodes[0].ReadTask(a, real)
+			r.nodes[0].ReadTask(a, nil)
+		}
+		r.k.Run(nil)
+		if fired != 1 {
+			t.Errorf("nilFirst=%v: real waiter fired %d times, want 1", nilFirst, fired)
+		}
+		if r.sts[0].ReadMisses != 1 {
+			t.Errorf("nilFirst=%v: ReadMisses = %d, want 1 (merged)", nilFirst, r.sts[0].ReadMisses)
+		}
+		if r.nodes[0].ClassifyRead(a) != ClassPrimary {
+			t.Errorf("nilFirst=%v: line not cached after the merged miss", nilFirst)
+		}
+	}
+
+	// Secondary hit with a nil completion: a write grant installs the
+	// line in the secondary cache only, so the next read hits there.
+	r := newRig(1, nil)
+	a := r.alloc.AllocOnNode(mem.LineSize, 0)
+	r.writeLatency(t, 0, a)
+	if r.nodes[0].ClassifyRead(a) != ClassSecondary {
+		t.Fatalf("setup: line is not a secondary hit")
+	}
+	r.nodes[0].ReadTask(a, nil)
+	r.k.Run(nil)
+
+	u := newRig(2, func(c *config.Config) { c.CacheShared = false })
+	u.nodes[0].ReadTask(u.alloc.AllocOnNode(mem.LineSize, 1), nil)
+	u.k.Run(nil)
+	if u.sts[0].ReadMisses != 1 {
+		t.Errorf("uncached nil read: ReadMisses = %d, want 1", u.sts[0].ReadMisses)
+	}
+}
+
 func TestWriteInvalidatesSharersAndAcksDrain(t *testing.T) {
 	r := newRig(4, nil)
 	a := r.alloc.AllocOnNode(mem.LineSize, 3)
@@ -303,8 +353,8 @@ func TestWriteBufferCoalescesSameLine(t *testing.T) {
 	r := newRig(2, nil)
 	a := r.alloc.AllocOnNode(mem.LineSize, 1)
 	retired := 0
-	r.nodes[0].WBEnqueue(a, false, func() { retired++ })
-	r.nodes[0].WBEnqueue(a+4, false, func() { retired++ })
+	r.nodes[0].WBEnqueue(a, false, sim.Func(func() { retired++ }))
+	r.nodes[0].WBEnqueue(a+4, false, sim.Func(func() { retired++ }))
 	r.k.Run(nil)
 	if retired != 2 {
 		t.Fatalf("retired = %d, want 2", retired)
@@ -327,7 +377,7 @@ func TestWriteBufferCapacity(t *testing.T) {
 		t.Fatal("third enqueue accepted by a 2-entry buffer")
 	}
 	spaced := false
-	r.nodes[0].WBOnSpace(func() { spaced = true })
+	r.nodes[0].WBOnSpace(sim.Func(func() { spaced = true }))
 	r.k.Run(nil)
 	if !spaced {
 		t.Error("space waiter never notified")
@@ -344,8 +394,8 @@ func TestReleaseWaitsForPriorWritesAndAcks(t *testing.T) {
 	r.readLatency(t, 2, data)
 
 	var writeDone, releaseDone sim.Time
-	r.nodes[0].WBEnqueue(data, false, func() { writeDone = r.k.Now() })
-	r.nodes[0].WBEnqueue(lock, true, func() { releaseDone = r.k.Now() })
+	r.nodes[0].WBEnqueue(data, false, sim.Func(func() { writeDone = r.k.Now() }))
+	r.nodes[0].WBEnqueue(lock, true, sim.Func(func() { releaseDone = r.k.Now() }))
 	r.k.Run(nil)
 	if releaseDone <= writeDone {
 		t.Errorf("release retired at %d, write at %d: release must wait", releaseDone, writeDone)
@@ -364,8 +414,8 @@ func TestWritePipeliningUnderRC(t *testing.T) {
 	a := r.alloc.AllocOnNode(mem.LineSize, 1)
 	b := r.alloc.AllocOnNode(mem.LineSize, 1)
 	var lastRetire sim.Time
-	r.nodes[0].WBEnqueue(a, false, func() { lastRetire = r.k.Now() })
-	r.nodes[0].WBEnqueue(b, false, func() { lastRetire = r.k.Now() })
+	r.nodes[0].WBEnqueue(a, false, sim.Func(func() { lastRetire = r.k.Now() }))
+	r.nodes[0].WBEnqueue(b, false, sim.Func(func() { lastRetire = r.k.Now() }))
 	r.k.Run(nil)
 	if lastRetire >= 128 {
 		t.Errorf("two pipelined remote writes took %d cycles; expected < 2x64 due to overlap", lastRetire)
@@ -421,9 +471,9 @@ func TestDemandMergesWithInFlightPrefetch(t *testing.T) {
 	r.nodes[0].PFEnqueue(a, false)
 	var demandDone sim.Time
 	// Let the prefetch start, then issue the demand read mid-flight.
-	r.k.At(20, func() {
+	r.k.AtTask(20, sim.Func(func() {
 		r.nodes[0].Read(a, func() { demandDone = r.k.Now() })
-	})
+	}))
 	r.k.Run(nil)
 	if demandDone == 0 {
 		t.Fatal("demand read never completed")
@@ -454,7 +504,7 @@ func TestPrefetchBufferCapacityAndSpace(t *testing.T) {
 		t.Fatal("third enqueue accepted by a 2-entry buffer")
 	}
 	spaced := false
-	r.nodes[0].PFOnSpace(func() { spaced = true })
+	r.nodes[0].PFOnSpace(sim.Func(func() { spaced = true }))
 	r.k.Run(nil)
 	if !spaced {
 		t.Error("prefetch space waiter never notified")
@@ -468,7 +518,7 @@ func TestInvalidationDuringReadMissInstallsThenInvalidates(t *testing.T) {
 	// while the fill is still in flight.
 	var readDone bool
 	r.nodes[0].Read(a, func() { readDone = true })
-	r.k.At(30, func() { r.nodes[2].AcquireOwnership(a, func() {}) })
+	r.k.AtTask(30, sim.Func(func() { r.nodes[2].AcquireOwnership(a, func() {}) }))
 	r.k.Run(nil)
 	if !readDone {
 		t.Fatal("read never completed")
@@ -542,17 +592,17 @@ func TestProtocolRandomStressInvariants(t *testing.T) {
 			when := sim.Time(rng.Intn(20000))
 			switch rng.Intn(4) {
 			case 0:
-				r.k.At(when, func() {
+				r.k.AtTask(when, sim.Func(func() {
 					if node.ClassifyRead(a) != ClassPrimary {
 						node.Read(a, func() {})
 					}
-				})
+				}))
 			case 1:
-				r.k.At(when, func() { node.WBEnqueue(a, false, nil) })
+				r.k.AtTask(when, sim.Func(func() { node.WBEnqueue(a, false, nil) }))
 			case 2:
-				r.k.At(when, func() { node.PFEnqueue(a, rng.Intn(2) == 0) })
+				r.k.AtTask(when, sim.Func(func() { node.PFEnqueue(a, rng.Intn(2) == 0) }))
 			case 3:
-				r.k.At(when, func() { node.AcquireOwnership(a, func() {}) })
+				r.k.AtTask(when, sim.Func(func() { node.AcquireOwnership(a, func() {}) }))
 			}
 		}
 		r.k.Run(nil)
@@ -577,13 +627,13 @@ func TestProtocolDeterminism(t *testing.T) {
 			a := base + mem.Addr(rng.Intn(32))*mem.LineSize
 			when := sim.Time(rng.Intn(5000))
 			if rng.Intn(2) == 0 {
-				r.k.At(when, func() {
+				r.k.AtTask(when, sim.Func(func() {
 					if node.ClassifyRead(a) != ClassPrimary {
 						node.Read(a, func() {})
 					}
-				})
+				}))
 			} else {
-				r.k.At(when, func() { node.WBEnqueue(a, false, nil) })
+				r.k.AtTask(when, sim.Func(func() { node.WBEnqueue(a, false, nil) }))
 			}
 		}
 		r.k.Run(nil)

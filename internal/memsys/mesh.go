@@ -18,10 +18,8 @@ type Mesh struct {
 	k     *sim.Kernel
 	w, h  int
 	nodes int
-	hop   int // router + wire cycles per hop
-	occ   int // link occupancy per message (flits)
-
-	//parallel:shared the interconnect is the one deliberately shared medium; a partitioned kernel must route link holds through conservative lookahead (ROADMAP item 2)
+	hop   int                      // router + wire cycles per hop
+	occ   int                      // link occupancy per message (flits)
 	links map[[2]int]*sim.Resource // directed neighbor edges
 	rec   *obs.Recorder            // optional observability recorder (nil = off)
 }
@@ -103,20 +101,20 @@ func (m *Mesh) nextHop(cur, to int) int {
 }
 
 // Route sends a message from one node to another, occupying each link on
-// the dimension-ordered path and paying the per-hop latency; fn runs at
+// the dimension-ordered path and paying the per-hop latency; done runs at
 // delivery. sp is the sending transaction's span (nil when untraced): each
 // link crossed opens one child span, so per-hop queueing is visible in the
 // trace.
-func (m *Mesh) Route(from, to int, sp *span.Span, fn func()) {
+func (m *Mesh) Route(from, to int, sp *span.Span, done sim.Actor) {
 	if from == to {
-		m.k.After(2, fn)
+		m.k.AfterTask(2, done)
 		return
 	}
 	cur := from
 	var step func()
 	step = func() {
 		if cur == to {
-			fn()
+			done.Act()
 			return
 		}
 		next := m.nextHop(cur, to)
@@ -128,13 +126,13 @@ func (m *Mesh) Route(from, to int, sp *span.Span, fn func()) {
 			m.rec.MeshHop(cur, next)
 		}
 		c := sp.Child(span.KSegLink, cur)
-		link.Acquire(sim.Time(m.occ), func() {
-			m.k.After(sim.Time(m.hop), func() {
+		link.AcquireTask(sim.Time(m.occ), sim.Func(func() {
+			m.k.AfterTask(sim.Time(m.hop), sim.Func(func() {
 				c.End()
 				cur = next
 				step()
-			})
-		})
+			}))
+		}))
 	}
 	step()
 }

@@ -37,10 +37,11 @@ type dirEntry struct {
 
 	// busy serializes ownership-transfer transactions on the line: while
 	// a forwarded request is in flight to the owner, later requests for
-	// the line queue in pending and are replayed when the owner's
-	// completion notice arrives (DASH's request-pending behaviour).
+	// the line (miss records and writebacks at their directory stage)
+	// queue in pending and re-arbitrate for the controller when the
+	// owner's completion notice arrives (DASH's request-pending behaviour).
 	busy    bool
-	pending []func()
+	pending []sim.Actor
 }
 
 // mshrKind distinguishes what created an outstanding-miss register.
@@ -69,8 +70,8 @@ type mshr struct {
 	excl        bool // completes with ownership (Dirty install)
 	stage       mshrStage
 	started     sim.Time
-	waiters     []sim.Task
-	queuedMsgs  []func()
+	waiters     []sim.Actor
+	queuedMsgs  []sim.Actor
 	invalidated bool // an invalidation arrived while in flight
 
 	// span traces the transaction when it was sampled (nil otherwise).
@@ -89,7 +90,7 @@ type victimEntry struct {
 	n       *Node
 	line    mem.Line
 	stage   vbStage
-	waiters []func() // local accesses waiting for the writeback to clear
+	waiters []sim.Actor // local accesses waiting for the writeback to clear
 	span    *span.Span
 }
 
@@ -110,12 +111,12 @@ func (v *victimEntry) Act() {
 		h := v.n.home(mem.AddrOf(v.line))
 		v.stage = vbAtHome
 		v.span.Seg(span.KSegNet, v.n.id)
-		v.n.sendSpanTask(h, v.n.lat().Wire, sim.ActorTask(v), v.span)
+		v.n.send(h, v.n.lat().Wire, v, v.span)
 	case vbAtHome:
 		h := v.n.home(mem.AddrOf(v.line))
 		v.stage = vbDir
 		v.span.Seg(span.KSegDir, h.id)
-		h.memc.AcquireActor(sim.Time(h.lat().MemHold), v)
+		h.memc.AcquireTask(sim.Time(h.lat().MemHold), v)
 	case vbDir:
 		v.n.home(mem.AddrOf(v.line)).dirWriteback(v)
 	case vbAcked:
@@ -148,7 +149,6 @@ type Node struct {
 	cfg   *config.Config
 	alloc *mem.Allocator
 	st    *stats.Proc
-	//parallel:shared remote-node access is the directory protocol itself; cross-node calls here are the cut points a partitioned kernel must turn into messages
 	nodes []*Node // all nodes in the machine, including self
 
 	prim *primaryCache
@@ -164,7 +164,7 @@ type Node struct {
 	niOut *sim.Resource
 
 	pendingAcks int
-	ackWaiters  []func()
+	ackWaiters  []sim.Actor
 
 	primBusyUntil sim.Time
 	primBusyPF    bool
@@ -179,7 +179,7 @@ type Node struct {
 	// accesses through this node, so their sampled spans classify as
 	// sync transactions. spanAdopt hands a write-buffer entry's span to
 	// the ownership transaction it drains into (set and cleared around
-	// the acquireOwnTask call; see DESIGN.md's span lifecycle contract).
+	// the AcquireOwnershipTask call; see DESIGN.md's span lifecycle contract).
 	syncDepth int
 	spanAdopt *span.Span
 
@@ -289,13 +289,13 @@ func (n *Node) newSharerSet() dirset.Set {
 
 // netMsg is one in-flight protocol message on the direct network: an Actor
 // that walks itself through NI-out occupancy, wire latency and NI-in
-// occupancy, then runs its delivery task.
+// occupancy, then runs its delivery completion.
 type netMsg struct {
 	n     *Node // sender
 	to    *Node
 	wire  int
 	stage msgStage
-	done  sim.Task
+	done  sim.Actor
 }
 
 // msgStage is the message's next step when its event fires.
@@ -312,51 +312,40 @@ func (m *netMsg) Act() {
 	switch m.stage {
 	case msgPostOut:
 		m.stage = msgPostWire
-		m.n.k.AfterActor(sim.Time(m.wire), m)
+		m.n.k.AfterTask(sim.Time(m.wire), m)
 	case msgPostWire:
 		m.stage = msgDeliver
-		m.to.niIn.AcquireActor(sim.Time(m.n.lat().NIHold), m)
+		m.to.niIn.AcquireTask(sim.Time(m.n.lat().NIHold), m)
 	case msgDeliver:
 		d := m.done
-		m.done = sim.Task{}
+		m.done = nil
 		m.n.msgs.Put(m)
-		d.Run()
+		d.Act()
 	}
 }
 
-// send models a protocol message from node n to node to: NI-out occupancy,
-// wire latency, NI-in occupancy, then fn at delivery. Messages between a
-// node and itself take a short fixed local delay instead.
-func (n *Node) send(to *Node, wire int, fn func()) {
-	n.sendTask(to, wire, sim.FuncTask(fn))
-}
-
-// sendTask is send with a Task delivery (allocation-free when the Task
-// wraps an Actor). The mesh interconnect (an ablation) keeps the closure
-// route.
-func (n *Node) sendTask(to *Node, wire int, done sim.Task) {
-	n.sendSpanTask(to, wire, done, nil)
-}
-
-// sendSpanTask is sendTask carrying the sending transaction's span (nil
-// when untraced) so the mesh can open one child per link crossed.
-func (n *Node) sendSpanTask(to *Node, wire int, done sim.Task, sp *span.Span) {
+// send models a protocol message from node n to node to: NI-out
+// occupancy, wire latency, NI-in occupancy, then done at delivery.
+// Messages between a node and itself take a short fixed local delay
+// instead. sp is the sending transaction's span (nil when untraced), so the
+// mesh can open one child per link crossed.
+func (n *Node) send(to *Node, wire int, done sim.Actor, sp *span.Span) {
 	if to == n {
 		n.k.AfterTask(2, done)
 		return
 	}
 	if n.mesh != nil {
-		n.niOut.Acquire(sim.Time(n.lat().NIHold), func() {
-			n.mesh.Route(n.id, to.id, sp, func() {
+		n.niOut.AcquireTask(sim.Time(n.lat().NIHold), sim.Func(func() {
+			n.mesh.Route(n.id, to.id, sp, sim.Func(func() {
 				to.niIn.AcquireTask(sim.Time(n.lat().NIHold), done)
-			})
-		})
+			}))
+		}))
 		return
 	}
 	m := n.msgs.Get()
 	m.n, m.to, m.wire, m.done = n, to, wire, done
 	m.stage = msgPostOut
-	n.niOut.AcquireActor(sim.Time(n.lat().NIHold), m)
+	n.niOut.AcquireTask(sim.Time(n.lat().NIHold), m)
 }
 
 // hopCycles is the no-contention cost of one full network hop.
@@ -410,14 +399,14 @@ func (n *Node) lockPrimary(t sim.Time, pf bool) {
 // node is still waiting for.
 func (n *Node) PendingAcks() int { return n.pendingAcks }
 
-// onAllAcked runs fn once pendingAcks reaches zero (immediately if it
+// onAllAcked runs a once pendingAcks reaches zero (immediately if it
 // already is).
-func (n *Node) onAllAcked(fn func()) {
+func (n *Node) onAllAcked(a sim.Actor) {
 	if n.pendingAcks == 0 {
-		fn()
+		a.Act()
 		return
 	}
-	n.ackWaiters = append(n.ackWaiters, fn)
+	n.ackWaiters = append(n.ackWaiters, a)
 }
 
 func (n *Node) addAcks(count int) { n.pendingAcks += count }
@@ -431,7 +420,7 @@ func (n *Node) ackArrived() {
 		ws := n.ackWaiters
 		n.ackWaiters = nil
 		for _, w := range ws {
-			w()
+			w.Act()
 		}
 	}
 }

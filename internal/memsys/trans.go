@@ -58,17 +58,17 @@ func (m *mshr) Act() {
 		if h == m.n {
 			m.stage = msDir
 			m.span.Seg(span.KSegDir, h.id)
-			h.memc.AcquireActor(sim.Time(h.lat().MemHold), m)
+			h.memc.AcquireTask(sim.Time(h.lat().MemHold), m)
 			return
 		}
 		m.stage = msAtHome
 		m.span.Seg(span.KSegNet, m.n.id)
-		m.n.sendSpanTask(h, m.n.lat().Wire, sim.ActorTask(m), m.span)
+		m.n.send(h, m.n.lat().Wire, m, m.span)
 	case msAtHome:
 		h := m.n.home(m.a)
 		m.stage = msDir
 		m.span.Seg(span.KSegDir, h.id)
-		h.memc.AcquireActor(sim.Time(h.lat().MemHold), m)
+		h.memc.AcquireTask(sim.Time(h.lat().MemHold), m)
 	case msDir:
 		h := m.n.home(m.a)
 		if m.write() {
@@ -83,7 +83,7 @@ func (m *mshr) Act() {
 		isPF := m.kind == mshrPrefetch || m.kind == mshrPrefetchExcl
 		m.n.lockPrimary(m.n.k.Now()+sim.Time(lat.FillPrim), isPF)
 		m.stage = msComplete
-		m.n.k.AfterActor(sim.Time(lat.FillPrim), m)
+		m.n.k.AfterTask(sim.Time(lat.FillPrim), m)
 	case msComplete:
 		m.n.completeFill(m)
 	}
@@ -94,7 +94,7 @@ func (m *mshr) Act() {
 func (m *mshr) issue() {
 	m.stage = msToHome
 	m.span.Seg(span.KSegBus, m.n.id)
-	m.n.bus.AcquireActor(sim.Time(m.n.lat().BusHold), m)
+	m.n.bus.AcquireTask(sim.Time(m.n.lat().BusHold), m)
 }
 
 // newMSHR allocates a miss record from the node's free list. If a
@@ -123,7 +123,7 @@ type secFill struct {
 	n     *Node
 	line  mem.Line
 	stage sfStage
-	done  sim.Task
+	done  sim.Actor
 	span  *span.Span
 }
 
@@ -144,7 +144,7 @@ func (s *secFill) Act() {
 		n.lockPrimary(n.k.Now()+fill, false)
 		s.stage = sfInstall
 		s.span.Seg(span.KSegFill, n.id)
-		n.k.AfterActor(fill, s)
+		n.k.AfterTask(fill, s)
 	case sfInstall:
 		// The line may have been invalidated or evicted from the
 		// secondary while this fill was in flight; keep inclusion by
@@ -155,20 +155,22 @@ func (s *secFill) Act() {
 		s.span.End()
 		s.span = nil
 		d := s.done
-		s.done = sim.Task{}
+		s.done = nil
 		n.secFills.Put(s)
-		d.Run()
+		if d != nil {
+			d.Act()
+		}
 	}
 }
 
-// Read performs a demand read of shared data that missed the primary
-// cache; done runs when the read completes. The caller (the processor)
-// accounts the 1-cycle issue itself and must not call this for primary
-// hits.
-func (n *Node) Read(a mem.Addr, done func()) { n.ReadTask(a, sim.FuncTask(done)) }
+// Read is ReadTask with a closure completion.
+func (n *Node) Read(a mem.Addr, done func()) { n.ReadTask(a, sim.Func(done)) }
 
-// ReadTask is Read with a Task completion (allocation-free for Actors).
-func (n *Node) ReadTask(a mem.Addr, done sim.Task) {
+// ReadTask performs a demand read of shared data that missed the primary
+// cache; done runs when the read completes (nil: nothing runs, the read
+// only fills the caches). The caller (the processor) accounts the 1-cycle
+// issue itself and must not call this for primary hits.
+func (n *Node) ReadTask(a mem.Addr, done sim.Actor) {
 	if !n.cfg.CacheShared {
 		n.uncachedRead(a, done)
 		return
@@ -188,13 +190,13 @@ func (n *Node) ReadTask(a mem.Addr, done sim.Task) {
 		}
 		s.span = n.spans().Start(kind, n.id)
 		s.span.Seg(span.KSegLookup, n.id)
-		n.k.AfterActor(sim.Time(n.lat().SecLookup), s)
+		n.k.AfterTask(sim.Time(n.lat().SecLookup), s)
 		return
 	}
 	if v, ok := n.victims[l]; ok {
 		// The line is in the writeback buffer on its way out; wait for
 		// the home to acknowledge, then retry.
-		v.waiters = append(v.waiters, func() { n.ReadTask(a, done) })
+		v.waiters = append(v.waiters, sim.Func(func() { n.ReadTask(a, done) }))
 		return
 	}
 	if m, ok := n.mshrs[l]; ok {
@@ -209,18 +211,17 @@ func (n *Node) ReadTask(a mem.Addr, done sim.Task) {
 	m.waiters = append(m.waiters, done)
 	n.mshrs[l] = m
 	m.stage = msIssue
-	n.k.AfterActor(sim.Time(n.lat().SecLookup), m)
+	n.k.AfterTask(sim.Time(n.lat().SecLookup), m)
 }
 
-// AcquireOwnership obtains exclusive ownership of the line containing a
-// (the write path: retiring a write from the write buffer). done runs when
-// ownership is granted — the write's retirement point per Table 1, which
-// does not include invalidation acknowledgements.
-func (n *Node) AcquireOwnership(a mem.Addr, done func()) {
-	n.acquireOwnTask(a, sim.FuncTask(done))
-}
+// AcquireOwnership is AcquireOwnershipTask with a closure completion.
+func (n *Node) AcquireOwnership(a mem.Addr, done func()) { n.AcquireOwnershipTask(a, sim.Func(done)) }
 
-func (n *Node) acquireOwnTask(a mem.Addr, done sim.Task) {
+// AcquireOwnershipTask obtains exclusive ownership of the line containing
+// a (the write path: retiring a write from the write buffer). done runs
+// when ownership is granted — the write's retirement point per Table 1,
+// which does not include invalidation acknowledgements.
+func (n *Node) AcquireOwnershipTask(a mem.Addr, done sim.Actor) {
 	if !n.cfg.CacheShared {
 		n.uncachedWrite(a, done)
 		return
@@ -237,7 +238,7 @@ func (n *Node) acquireOwnTask(a mem.Addr, done sim.Task) {
 		return
 	}
 	if v, ok := n.victims[l]; ok {
-		v.waiters = append(v.waiters, func() { n.acquireOwnTask(a, done) })
+		v.waiters = append(v.waiters, sim.Func(func() { n.AcquireOwnershipTask(a, done) }))
 		return
 	}
 	if m, ok := n.mshrs[l]; ok {
@@ -247,7 +248,7 @@ func (n *Node) acquireOwnTask(a mem.Addr, done sim.Task) {
 		// Wait for the in-flight fill, then reclassify: the fill may
 		// deliver ownership (write/pf-exclusive) or only a shared copy
 		// (then this becomes an upgrade).
-		m.waiters = append(m.waiters, sim.FuncTask(func() { n.acquireOwnTask(a, done) }))
+		m.waiters = append(m.waiters, sim.Func(func() { n.AcquireOwnershipTask(a, done) }))
 		return
 	}
 	n.st.WriteMisses++
@@ -255,7 +256,7 @@ func (n *Node) acquireOwnTask(a mem.Addr, done sim.Task) {
 	m.waiters = append(m.waiters, done)
 	n.mshrs[l] = m
 	m.stage = msIssue
-	n.k.AfterActor(sim.Time(n.lat().SecCheckWrite), m)
+	n.k.AfterTask(sim.Time(n.lat().SecCheckWrite), m)
 }
 
 // dirRead is the home directory's handling of a read request. Runs at the
@@ -264,9 +265,7 @@ func (h *Node) dirRead(a mem.Addr, req *Node, m *mshr) {
 	l := mem.LineOf(a)
 	e := h.entry(l)
 	if e.busy {
-		e.pending = append(e.pending, func() {
-			h.memc.AcquireActor(sim.Time(h.lat().MemHold), m)
-		})
+		e.pending = append(e.pending, m)
 		return
 	}
 	if h.rec != nil {
@@ -311,8 +310,8 @@ func (h *Node) dirRead(a mem.Addr, req *Node, m *mshr) {
 			h.rec.DirTxn(obs.DirForward)
 		}
 		m.span.Seg(span.KSegNet, h.id)
-		h.sendSpanTask(owner, h.lat().WireForward,
-			sim.FuncTask(func() { owner.serveForward(l, req, m, false) }), m.span)
+		h.send(owner, h.lat().WireForward,
+			sim.Func(func() { owner.serveForward(l, req, m, false) }), m.span)
 	}
 }
 
@@ -321,9 +320,7 @@ func (h *Node) dirWrite(a mem.Addr, req *Node, m *mshr) {
 	l := mem.LineOf(a)
 	e := h.entry(l)
 	if e.busy {
-		e.pending = append(e.pending, func() {
-			h.memc.AcquireActor(sim.Time(h.lat().MemHold), m)
-		})
+		e.pending = append(e.pending, m)
 		return
 	}
 	if h.rec != nil {
@@ -362,7 +359,7 @@ func (h *Node) dirWrite(a mem.Addr, req *Node, m *mshr) {
 			im.n, im.req, im.line = sharer, req, l
 			im.stage = invArrive
 			im.span = m.span.Child(span.KSegInval, id)
-			h.sendSpanTask(sharer, h.lat().Wire, sim.ActorTask(im), im.span)
+			h.send(sharer, h.lat().Wire, im, im.span)
 		})
 		e.state = DirDirty
 		e.owner = req.id
@@ -382,8 +379,8 @@ func (h *Node) dirWrite(a mem.Addr, req *Node, m *mshr) {
 			h.rec.DirTxn(obs.DirForward)
 		}
 		m.span.Seg(span.KSegNet, h.id)
-		h.sendSpanTask(owner, h.lat().WireForward,
-			sim.FuncTask(func() { owner.serveForward(l, req, m, true) }), m.span)
+		h.send(owner, h.lat().WireForward,
+			sim.Func(func() { owner.serveForward(l, req, m, true) }), m.span)
 	}
 }
 
@@ -393,10 +390,10 @@ func (h *Node) replyFill(req *Node, m *mshr) {
 	m.stage = msFill
 	m.span.Seg(span.KSegReply, h.id)
 	if h == req {
-		h.k.AfterActor(0, m)
+		h.k.AfterTask(0, m)
 		return
 	}
-	h.sendSpanTask(req, h.lat().Wire, sim.ActorTask(m), m.span)
+	h.send(req, h.lat().Wire, m, m.span)
 }
 
 // serveForward handles a request forwarded to this node as the recorded
@@ -409,13 +406,13 @@ func (o *Node) serveForward(l mem.Line, req *Node, m *mshr, write bool) {
 		// Our own fill for the line is still in flight; the forward
 		// waits for it, exactly as a lockup-free cache queues external
 		// requests against an MSHR.
-		om.queuedMsgs = append(om.queuedMsgs, func() { o.serveForward(l, req, m, write) })
+		om.queuedMsgs = append(om.queuedMsgs, sim.Func(func() { o.serveForward(l, req, m, write) }))
 		return
 	}
 	m.span.Seg(span.KSegOwner, o.id)
 	lat := o.lat()
-	o.bus.Acquire(sim.Time(lat.BusHold), func() {
-		o.k.After(sim.Time(lat.OwnerAccess), func() {
+	o.bus.AcquireTask(sim.Time(lat.BusHold), sim.Func(func() {
+		o.k.AfterTask(sim.Time(lat.OwnerAccess), sim.Func(func() {
 			// Re-examine state at apply time: the line may have been
 			// evicted (moved to the writeback/victim buffer) while the
 			// forward waited for the bus.
@@ -434,19 +431,20 @@ func (o *Node) serveForward(l mem.Line, req *Node, m *mshr, write bool) {
 			}
 			m.stage = msFill
 			m.span.Seg(span.KSegReply, o.id)
-			o.sendSpanTask(req, lat.Wire, sim.ActorTask(m), m.span)
+			o.send(req, lat.Wire, m, m.span)
 			// Completion to home: carries the sharing writeback (read)
 			// or the ownership-transfer notice (write) and unblocks the
 			// directory entry.
 			home := o.home(mem.AddrOf(l))
-			o.send(home, lat.Wire, func() {
-				home.memc.Acquire(sim.Time(lat.MemHold), func() { home.dirUnbusy(l) })
-			})
-		})
-	})
+			o.send(home, lat.Wire, sim.Func(func() {
+				home.memc.AcquireTask(sim.Time(lat.MemHold), sim.Func(func() { home.dirUnbusy(l) }))
+			}), nil)
+		}))
+	}))
 }
 
-// dirUnbusy clears the busy bit and reprocesses deferred requests.
+// dirUnbusy clears the busy bit and sends the deferred requests back to
+// the memory/directory controller in arrival order.
 func (h *Node) dirUnbusy(l mem.Line) {
 	e := h.entry(l)
 	if !e.busy {
@@ -456,8 +454,8 @@ func (h *Node) dirUnbusy(l mem.Line) {
 	h.dirEvent(l)
 	pend := e.pending
 	e.pending = nil
-	for _, f := range pend {
-		f()
+	for _, a := range pend {
+		h.memc.AcquireTask(sim.Time(h.lat().MemHold), a)
 	}
 }
 
@@ -506,7 +504,7 @@ func (im *invalMsg) Act() {
 	switch im.stage {
 	case invArrive:
 		im.stage = invApply
-		n.bus.AcquireActor(sim.Time(n.lat().InvalApply), im)
+		n.bus.AcquireTask(sim.Time(n.lat().InvalApply), im)
 	case invApply:
 		l := im.line
 		st := n.sec.State(l)
@@ -520,7 +518,7 @@ func (im *invalMsg) Act() {
 				n.chk.InvalApplied(n.id, l)
 			}
 			im.stage = invAck
-			n.sendSpanTask(im.req, n.lat().Wire, sim.ActorTask(im), im.span)
+			n.send(im.req, n.lat().Wire, im, im.span)
 			return
 		}
 		// An invalidation that finds no copy and no shared fill to kill
@@ -548,7 +546,7 @@ func (im *invalMsg) Act() {
 			n.chk.InvalApplied(n.id, l)
 		}
 		im.stage = invAck
-		n.sendSpanTask(im.req, n.lat().Wire, sim.ActorTask(im), im.span)
+		n.send(im.req, n.lat().Wire, im, im.span)
 	case invAck:
 		im.span.End()
 		im.span = nil
@@ -566,11 +564,11 @@ func (n *Node) finishFill(m *mshr) {
 	m.span.Seg(span.KSegFill, n.id)
 	if m.kind == mshrWrite {
 		m.stage = msComplete
-		n.k.AfterActor(sim.Time(lat.WriteGrant), m)
+		n.k.AfterTask(sim.Time(lat.WriteGrant), m)
 		return
 	}
 	m.stage = msFillPrim
-	n.k.AfterActor(sim.Time(lat.FillSec), m)
+	n.k.AfterTask(sim.Time(lat.FillSec), m)
 }
 
 // completeFill installs the line, resolves the MSHR, wakes demand waiters
@@ -625,10 +623,12 @@ func (n *Node) completeFill(m *mshr) {
 	// this one is not recycled until they are done), then clear and free.
 	delete(n.mshrs, l)
 	for i := 0; i < len(m.waiters); i++ {
-		m.waiters[i].Run()
+		if w := m.waiters[i]; w != nil {
+			w.Act()
+		}
 	}
 	for i := 0; i < len(m.queuedMsgs); i++ {
-		m.queuedMsgs[i]()
+		m.queuedMsgs[i].Act()
 	}
 	m.waiters = m.waiters[:0]
 	m.queuedMsgs = m.queuedMsgs[:0]
@@ -650,7 +650,7 @@ func (n *Node) startWriteback(l mem.Line, parent *span.Span) {
 	v.stage = vbToHome
 	v.span = parent.Child(span.KTxnWriteback, n.id)
 	v.span.Seg(span.KSegBus, n.id)
-	n.bus.AcquireActor(sim.Time(n.lat().BusHold), v)
+	n.bus.AcquireTask(sim.Time(n.lat().BusHold), v)
 }
 
 // dirWriteback processes a dirty-victim writeback at the home.
@@ -658,9 +658,7 @@ func (h *Node) dirWriteback(v *victimEntry) {
 	l, from := v.line, v.n
 	e := h.entry(l)
 	if e.busy {
-		e.pending = append(e.pending, func() {
-			h.memc.AcquireActor(sim.Time(h.lat().MemHold), v)
-		})
+		e.pending = append(e.pending, v)
 		return
 	}
 	if h.rec != nil {
@@ -682,7 +680,7 @@ func (h *Node) dirWriteback(v *victimEntry) {
 	h.dirEvent(l)
 	v.stage = vbAcked
 	v.span.Seg(span.KSegReply, h.id)
-	h.sendSpanTask(from, h.lat().Wire, sim.ActorTask(v), v.span)
+	h.send(from, h.lat().Wire, v, v.span)
 }
 
 // writebackAcked clears the victim buffer entry and retries accesses that
@@ -696,7 +694,7 @@ func (n *Node) writebackAcked(v *victimEntry) {
 	v.span.End()
 	v.span = nil
 	for i := 0; i < len(v.waiters); i++ {
-		v.waiters[i]()
+		v.waiters[i].Act()
 	}
 	v.waiters = v.waiters[:0]
 	n.victimPool.Put(v)
@@ -711,7 +709,7 @@ type uncachedOp struct {
 	started sim.Time
 	read    bool
 	stage   ucStage
-	done    sim.Task
+	done    sim.Actor
 
 	// span traces the access when sampled; adopted spans belong to the
 	// write-buffer entry that drained into this access (see mshr).
@@ -738,29 +736,29 @@ func (u *uncachedOp) Act() {
 		if u.home == n {
 			u.stage = ucPostMem
 			u.span.Seg(span.KSegMem, n.id)
-			n.memc.AcquireActor(sim.Time(n.lat().MemHold), u)
+			n.memc.AcquireTask(sim.Time(n.lat().MemHold), u)
 			return
 		}
 		u.stage = ucAtHome
 		u.span.Seg(span.KSegNet, n.id)
-		n.sendSpanTask(u.home, n.lat().Wire, sim.ActorTask(u), u.span)
+		n.send(u.home, n.lat().Wire, u, u.span)
 	case ucAtHome:
 		u.stage = ucPostMem
 		u.span.Seg(span.KSegMem, u.home.id)
-		u.home.memc.AcquireActor(sim.Time(u.home.lat().MemHold), u)
+		u.home.memc.AcquireTask(sim.Time(u.home.lat().MemHold), u)
 	case ucPostMem:
 		if u.home == n {
 			u.stage = ucFinish
-			n.k.AfterActor(sim.Time(u.tail), u)
+			n.k.AfterTask(sim.Time(u.tail), u)
 			return
 		}
 		u.stage = ucBack
 		u.span.Seg(span.KSegReply, u.home.id)
-		u.home.sendSpanTask(n, u.home.lat().Wire, sim.ActorTask(u), u.span)
+		u.home.send(n, u.home.lat().Wire, u, u.span)
 	case ucBack:
 		u.stage = ucFinish
 		u.span.Seg(span.KSegMem, n.id)
-		n.k.AfterActor(sim.Time(u.tail), u)
+		n.k.AfterTask(sim.Time(u.tail), u)
 	case ucFinish:
 		if u.read {
 			n.st.ReadMissCycles += n.k.Now() - u.started
@@ -777,14 +775,16 @@ func (u *uncachedOp) Act() {
 		}
 		u.span, u.spanAdopted = nil, false
 		d := u.done
-		u.done = sim.Task{}
+		u.done = nil
 		n.uncachedPool.Put(u)
-		d.Run()
+		if d != nil {
+			d.Act()
+		}
 	}
 }
 
 // uncachedRead services a shared read without caching.
-func (n *Node) uncachedRead(a mem.Addr, done sim.Task) {
+func (n *Node) uncachedRead(a mem.Addr, done sim.Actor) {
 	n.st.ReadMisses++
 	lat := n.lat()
 	u := n.uncachedPool.Get()
@@ -797,11 +797,11 @@ func (n *Node) uncachedRead(a mem.Addr, done sim.Task) {
 		u.tail = clampNonNeg(lat.UncachedReadRemote - 1 - lat.BusHold - 2*n.hopCycles() - lat.MemHold)
 	}
 	u.stage = ucPostBus
-	n.bus.AcquireActor(sim.Time(lat.BusHold), u)
+	n.bus.AcquireTask(sim.Time(lat.BusHold), u)
 }
 
 // uncachedWrite retires a shared write to home memory without caching.
-func (n *Node) uncachedWrite(a mem.Addr, done sim.Task) {
+func (n *Node) uncachedWrite(a mem.Addr, done sim.Actor) {
 	n.st.WriteMisses++
 	lat := n.lat()
 	u := n.uncachedPool.Get()
@@ -814,7 +814,7 @@ func (n *Node) uncachedWrite(a mem.Addr, done sim.Task) {
 		u.tail = clampNonNeg(lat.UncachedWriteRemote - lat.BusHold - n.hopCycles() - lat.MemHold - n.hopCycles())
 	}
 	u.stage = ucPostBus
-	n.bus.AcquireActor(sim.Time(lat.BusHold), u)
+	n.bus.AcquireTask(sim.Time(lat.BusHold), u)
 }
 
 // spanUncached opens (or adopts) the uncached access's span and records

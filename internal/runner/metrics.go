@@ -27,9 +27,8 @@ type Metrics struct {
 	SimCycles uint64
 	WallTime  time.Duration
 
-	// Kernel-level counters summed over executed (non-cached) jobs.
-	SimEvents     uint64 // discrete events fired
-	AllocsAvoided uint64 // allocations the zero-allocation event paths saved
+	// Discrete events fired, summed over executed (non-cached) jobs.
+	SimEvents uint64
 }
 
 // Done is the number of jobs that have finished one way or another.

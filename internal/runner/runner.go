@@ -415,7 +415,6 @@ func (r *Runner) finish(t *Task, res *machine.Result, err error, hit bool, start
 		if res != nil {
 			r.metrics.SimCycles += uint64(res.Elapsed)
 			r.metrics.SimEvents += res.Kernel.Fired
-			r.metrics.AllocsAvoided += res.Kernel.AllocsAvoided()
 		}
 	}
 	snap := r.metrics

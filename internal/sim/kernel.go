@@ -8,11 +8,11 @@
 // were scheduled. This gives bit-identical results across runs, which the
 // reproduction relies on.
 //
-// The event queue is a value-typed 4-ary min-heap: events are stored
-// inline in the heap slice (no per-event heap allocation, no interface
-// boxing through container/heap), and the Actor scheduling path carries a
-// completion as an interface pointer rather than a closure, so the
-// simulator's hot paths schedule events without allocating at all.
+// Every completion is an Actor: pooled model objects implement it as a
+// stage machine, and one-off closures go through the Func adapter. The
+// event queue is a value-typed 4-ary min-heap storing each event's
+// (time, sequence, Actor) inline in the heap slice, so scheduling a
+// pre-built Actor allocates nothing.
 package sim
 
 import "fmt"
@@ -20,46 +20,34 @@ import "fmt"
 // Time is a point in simulated time, in processor clock cycles.
 type Time uint64
 
-// Actor is the allocation-free completion: scheduling an Actor stores one
-// interface word pair in the event slot instead of materializing a
-// closure. Model objects with multi-step lifecycles (a context, a miss
-// record, a network message) implement Act as a small state machine and
-// reschedule themselves through their stages.
+// Actor is the simulator's one completion type: every kernel event,
+// resource grant, waiter list and transaction callback holds an Actor.
+// Model objects with multi-step lifecycles (a context, a miss record, a
+// network message) implement Act as a small state machine and reschedule
+// themselves through their stages. Where a completion is optional (a
+// resource grant, a read, a buffered write) nil means none; a nil kernel
+// event is a modeling bug and panics when it fires.
 type Actor interface {
 	Act()
 }
 
-// Task is a completion callback that is either a bare closure or an Actor.
-// It lets one code path serve both the legacy closure API and the
-// allocation-free Actor API. The zero Task is a no-op.
-type Task struct {
-	fn    func()
-	actor Actor
-}
+// Func adapts a one-off closure to Actor. A func value is pointer-shaped,
+// so converting a Func to Actor stores it in the interface word without
+// allocating; only building the closure itself may allocate.
+type Func func()
 
-// FuncTask wraps a closure as a Task.
-func FuncTask(fn func()) Task { return Task{fn: fn} }
+// Act implements Actor.
+func (f Func) Act() { f() }
 
-// ActorTask wraps an Actor as a Task without allocating.
-func ActorTask(a Actor) Task { return Task{actor: a} }
-
-// Run invokes the completion; a zero Task does nothing.
-func (t Task) Run() {
-	if t.actor != nil {
-		t.actor.Act()
-	} else if t.fn != nil {
-		t.fn()
-	}
-}
-
-// Zero reports whether the Task carries no completion.
-func (t Task) Zero() bool { return t.actor == nil && t.fn == nil }
+// ActorTask returns a unchanged. It exists only because the hostbench
+// module, which is built against this name, calls it.
+func ActorTask(a Actor) Actor { return a }
 
 // event is a scheduled callback, stored by value in the heap slice.
 type event struct {
-	at   Time
-	seq  uint64 // tie-breaker: schedule order
-	task Task
+	at  Time
+	seq uint64 // tie-breaker: schedule order
+	act Actor
 }
 
 // before reports whether e fires before o in (time, sequence) order.
@@ -76,8 +64,8 @@ type Kernel struct {
 
 	// Counters, surfaced through machine results and runner metrics.
 	events    uint64 // events fired
-	scheduled uint64 // events pushed; each avoided the old per-event heap box
-	actors    uint64 // events scheduled via the Actor path (no closure either)
+	scheduled uint64 // events pushed
+	actors    uint64 // of scheduled, events whose completion is not a Func
 	advances  uint64 // clock advances without an event (sync fast-path completions)
 }
 
@@ -97,51 +85,32 @@ func (k *Kernel) Pending() int { return len(k.heap) }
 type Stats struct {
 	Fired     uint64 // events executed
 	Scheduled uint64 // events pushed into the queue
-	Actor     uint64 // of Scheduled, how many used the allocation-free Actor path
+	Actor     uint64 // of Scheduled, how many completions were not a Func
 	Advances  uint64 // clock advances taken without firing an event
 }
 
-// KernelStats returns the scheduling counters. AllocsAvoided derives from
-// these: every scheduled event avoids the heap-boxed event record of the
-// pre-refactor kernel, and every Actor event additionally avoids a closure.
+// KernelStats returns the scheduling counters.
 func (k *Kernel) KernelStats() Stats {
 	return Stats{Fired: k.events, Scheduled: k.scheduled, Actor: k.actors, Advances: k.advances}
 }
 
-// AllocsAvoided estimates heap allocations the kernel's scheduling paths
-// avoided relative to the closure-per-event container/heap design: one
-// boxed event record per scheduled event plus one closure per Actor event.
-func (s Stats) AllocsAvoided() uint64 { return s.Scheduled + s.Actor }
-
-// At schedules fn to run at absolute time t. Scheduling in the past
+// AtTask schedules a.Act() at absolute time t. Scheduling in the past
 // (t < Now) panics: it always indicates a modeling bug.
-func (k *Kernel) At(t Time, fn func()) { k.AtTask(t, Task{fn: fn}) }
-
-// After schedules fn to run delay cycles from now.
-func (k *Kernel) After(delay Time, fn func()) { k.AtTask(k.now+delay, Task{fn: fn}) }
-
-// AtActor schedules a.Act() at absolute time t without allocating.
-func (k *Kernel) AtActor(t Time, a Actor) { k.AtTask(t, Task{actor: a}) }
-
-// AfterActor schedules a.Act() delay cycles from now without allocating.
-func (k *Kernel) AfterActor(delay Time, a Actor) { k.AtTask(k.now+delay, Task{actor: a}) }
-
-// AtTask schedules a Task at absolute time t.
-func (k *Kernel) AtTask(t Time, task Task) {
+func (k *Kernel) AtTask(t Time, a Actor) {
 	if t < k.now {
 		//hookpure:alloc failure path only; scheduling into the past aborts the run
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, k.now))
 	}
 	k.seq++
 	k.scheduled++
-	if task.actor != nil {
+	if _, ok := a.(Func); !ok {
 		k.actors++
 	}
-	k.push(event{at: t, seq: k.seq, task: task})
+	k.push(event{at: t, seq: k.seq, act: a})
 }
 
-// AfterTask schedules a Task delay cycles from now.
-func (k *Kernel) AfterTask(delay Time, task Task) { k.AtTask(k.now+delay, task) }
+// AfterTask schedules a.Act() delay cycles from now.
+func (k *Kernel) AfterTask(delay Time, a Actor) { k.AtTask(k.now+delay, a) }
 
 // NextAt returns the timestamp of the earliest pending event, if any.
 func (k *Kernel) NextAt() (Time, bool) {
@@ -178,11 +147,7 @@ func (k *Kernel) Step() bool {
 	e := k.pop()
 	k.now = e.at
 	k.events++
-	if e.task.actor != nil {
-		e.task.actor.Act()
-	} else {
-		e.task.fn()
-	}
+	e.act.Act()
 	return true
 }
 

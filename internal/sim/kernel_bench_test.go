@@ -6,21 +6,41 @@ import "testing"
 // scheduling cost (ns/op and allocs/op) is visible without the rest of the
 // simulator. BENCH_kernel.json records their trajectory across PRs.
 
+// nopActor is a prebuilt pooled-style completion for the benchmarks.
+type nopActor struct{}
+
+func (nopActor) Act() {}
+
+// completions are the two shapes a completion takes in the model: a
+// pooled object implementing Actor, and a one-off closure through Func.
+// Both store one interface value in the event slot, so each benchmark
+// runs both and every sub-benchmark must report 0 allocs/op.
+var completions = []struct {
+	name string
+	act  Actor
+}{
+	{"Actor", nopActor{}},
+	{"Func", Func(func() {})},
+}
+
 // BenchmarkKernelScheduleFire schedules and fires one event per iteration
-// with a prebuilt callback: the steady-state cost of one event through the
-// queue.
+// with a prebuilt completion: the steady-state cost of one event through
+// the queue.
 func BenchmarkKernelScheduleFire(b *testing.B) {
-	k := NewKernel()
-	fn := func() {}
-	// Warm the queue so slice growth is out of the measured region.
-	for i := 0; i < 64; i++ {
-		k.After(Time(i), fn)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.After(8, fn)
-		k.Step()
+	for _, c := range completions {
+		b.Run(c.name, func(b *testing.B) {
+			k := NewKernel()
+			// Warm the queue so slice growth is out of the measured region.
+			for i := 0; i < 64; i++ {
+				k.AfterTask(Time(i), c.act)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.AfterTask(8, c.act)
+				k.Step()
+			}
+		})
 	}
 }
 
@@ -28,16 +48,16 @@ func BenchmarkKernelScheduleFire(b *testing.B) {
 // measures push+pop through it, the worst case for heap reordering.
 func BenchmarkKernelHeapChurn(b *testing.B) {
 	k := NewKernel()
-	fn := func() {}
+	var a nopActor
 	const depth = 1024
 	for i := 0; i < depth; i++ {
 		// Spread timestamps so the heap actually reorders.
-		k.After(Time(i*7%255), fn)
+		k.AfterTask(Time(i*7%255), a)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.After(Time(i*13%255+1), fn)
+		k.AfterTask(Time(i*13%255+1), a)
 		k.Step()
 	}
 }
@@ -45,49 +65,16 @@ func BenchmarkKernelHeapChurn(b *testing.B) {
 // BenchmarkKernelResource measures a Resource acquire/complete cycle, the
 // building block of every contention point in the memory system.
 func BenchmarkKernelResource(b *testing.B) {
-	k := NewKernel()
-	r := NewResource(k, "bus")
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Acquire(2, fn)
-		k.Step()
-	}
-}
-
-// nopActor is a prebuilt Actor completion for the benchmarks below.
-type nopActor struct{}
-
-func (nopActor) Act() {}
-
-// BenchmarkKernelActorScheduleFire is ScheduleFire through the Actor path:
-// the event carries an interface pointer instead of a closure, the
-// scheduling pattern used by every hot model object after the refactor.
-func BenchmarkKernelActorScheduleFire(b *testing.B) {
-	k := NewKernel()
-	var a nopActor
-	for i := 0; i < 64; i++ {
-		k.AfterActor(Time(i), a)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.AfterActor(8, a)
-		k.Step()
-	}
-}
-
-// BenchmarkKernelResourceActor measures the Resource cycle with an Actor
-// completion, the shape of bus/directory/memory occupancy in the node model.
-func BenchmarkKernelResourceActor(b *testing.B) {
-	k := NewKernel()
-	r := NewResource(k, "bus")
-	var a nopActor
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.AcquireActor(2, a)
-		k.Step()
+	for _, c := range completions {
+		b.Run(c.name, func(b *testing.B) {
+			k := NewKernel()
+			r := NewResource(k, "bus")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.AcquireTask(2, c.act)
+				k.Step()
+			}
+		})
 	}
 }

@@ -11,7 +11,7 @@ func TestKernelFiresInTimeOrder(t *testing.T) {
 	var got []Time
 	for _, d := range []Time{50, 10, 30, 10, 0, 99} {
 		d := d
-		k.At(d, func() { got = append(got, d) })
+		k.AtTask(d, Func(func() { got = append(got, d) }))
 	}
 	k.Run(nil)
 	want := []Time{0, 10, 10, 30, 50, 99}
@@ -33,7 +33,7 @@ func TestKernelSameTimeFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.At(5, func() { order = append(order, i) })
+		k.AtTask(5, Func(func() { order = append(order, i) }))
 	}
 	k.Run(nil)
 	for i, v := range order {
@@ -46,11 +46,11 @@ func TestKernelSameTimeFIFO(t *testing.T) {
 func TestKernelNestedScheduling(t *testing.T) {
 	k := NewKernel()
 	var trace []Time
-	k.At(10, func() {
+	k.AtTask(10, Func(func() {
 		trace = append(trace, k.Now())
-		k.After(5, func() { trace = append(trace, k.Now()) })
-		k.After(0, func() { trace = append(trace, k.Now()) })
-	})
+		k.AfterTask(5, Func(func() { trace = append(trace, k.Now()) }))
+		k.AfterTask(0, Func(func() { trace = append(trace, k.Now()) }))
+	}))
 	k.Run(nil)
 	want := []Time{10, 10, 15}
 	for i := range want {
@@ -62,14 +62,14 @@ func TestKernelNestedScheduling(t *testing.T) {
 
 func TestKernelSchedulingInPastPanics(t *testing.T) {
 	k := NewKernel()
-	k.At(10, func() {
+	k.AtTask(10, Func(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		k.At(5, func() {})
-	})
+		k.AtTask(5, Func(func() {}))
+	}))
 	k.Run(nil)
 }
 
@@ -77,7 +77,7 @@ func TestKernelRunUntil(t *testing.T) {
 	k := NewKernel()
 	fired := 0
 	for _, d := range []Time{1, 2, 3, 10, 20} {
-		k.At(d, func() { fired++ })
+		k.AtTask(d, Func(func() { fired++ }))
 	}
 	k.RunUntil(5)
 	if fired != 3 {
@@ -107,7 +107,7 @@ func TestKernelRunUntilEmptyQueue(t *testing.T) {
 	}
 	// Events scheduled after the jump still fire at their own times.
 	var at Time
-	k.After(10, func() { at = k.Now() })
+	k.AfterTask(10, Func(func() { at = k.Now() }))
 	k.RunUntil(300)
 	if at != 260 {
 		t.Errorf("event fired at %d, want 260", at)
@@ -131,9 +131,10 @@ func (a *countActor) Act() {
 func TestKernelActorScheduling(t *testing.T) {
 	k := NewKernel()
 	a := &countActor{k: k}
-	k.AtActor(5, a)
-	k.AfterActor(12, a)
+	k.AtTask(5, a)
+	k.AfterTask(12, a)
 	k.AtTask(20, ActorTask(a))
+	k.AtTask(30, Func(func() {}))
 	k.Run(nil)
 	if a.fired != 3 {
 		t.Fatalf("actor fired %d times, want 3", a.fired)
@@ -144,12 +145,81 @@ func TestKernelActorScheduling(t *testing.T) {
 			t.Errorf("actor firing %d at t=%d, want %d", i, a.at[i], want[i])
 		}
 	}
+	// Actor counts the completions that are not a Func.
 	st := k.KernelStats()
-	if st.Fired != 3 || st.Scheduled != 3 || st.Actor != 3 {
-		t.Errorf("stats = %+v, want Fired=3 Scheduled=3 Actor=3", st)
+	if st.Fired != 4 || st.Scheduled != 4 || st.Actor != 3 {
+		t.Errorf("stats = %+v, want Fired=4 Scheduled=4 Actor=3", st)
 	}
-	if st.AllocsAvoided() != 6 {
-		t.Errorf("AllocsAvoided = %d, want 6", st.AllocsAvoided())
+}
+
+// seqActor records its id into a shared log when it fires.
+type seqActor struct {
+	id  int
+	log *[]int
+}
+
+func (s *seqActor) Act() { *s.log = append(*s.log, s.id) }
+
+// TestKernelMixedCompletionsOrder interleaves pooled Actors and Func
+// closures at shared timestamps: the completion's form must not affect
+// the (time, sequence) firing order.
+func TestKernelMixedCompletionsOrder(t *testing.T) {
+	k := NewKernel()
+	var log []int
+	times := []Time{7, 3, 7, 0, 3, 7, 0, 12}
+	for i, at := range times {
+		if i%2 == 0 {
+			k.AtTask(at, &seqActor{id: i, log: &log})
+		} else {
+			k.AtTask(at, Func(func() { log = append(log, i) }))
+		}
+	}
+	k.Run(nil)
+	want := []int{3, 6, 1, 4, 0, 2, 5, 7}
+	if len(log) != len(want) {
+		t.Fatalf("fired %v, want %v", log, want)
+	}
+	for i := range want {
+		if log[i] != want[i] {
+			t.Fatalf("fired %v, want %v", log, want)
+		}
+	}
+}
+
+// TestKernelPrebuiltFuncAllocsNothing pins the Func adapter's contract: a
+// func value is pointer-shaped, so converting a pre-built closure to Actor
+// and scheduling it allocates nothing.
+func TestKernelPrebuiltFuncAllocsNothing(t *testing.T) {
+	k := NewKernel()
+	fired := 0
+	fn := func() { fired++ }
+	for i := 0; i < 16; i++ { // grow the heap outside the measurement
+		k.AfterTask(Time(i), Func(fn))
+	}
+	k.Run(nil)
+	allocs := testing.AllocsPerRun(1000, func() {
+		k.AfterTask(3, Func(fn))
+		k.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("scheduling a pre-built Func: %v allocs/op, want 0", allocs)
+	}
+	if fired != 16+1001 {
+		t.Errorf("fired = %d, want %d", fired, 16+1001)
+	}
+}
+
+func TestResourceNilCompletionSchedulesNothing(t *testing.T) {
+	k := NewKernel()
+	r := NewResource(k, "bus")
+	if end := r.AcquireTask(4, nil); end != 4 {
+		t.Errorf("completion = %d, want 4", end)
+	}
+	if k.Pending() != 0 {
+		t.Errorf("nil completion scheduled %d events", k.Pending())
+	}
+	if r.Requests() != 1 || r.BusyCycles() != 4 {
+		t.Errorf("Requests = %d, BusyCycles = %d, want 1, 4", r.Requests(), r.BusyCycles())
 	}
 }
 
@@ -168,7 +238,7 @@ func TestKernelAdvanceTo(t *testing.T) {
 		t.Errorf("Advances = %d after no-op, want 1", st.Advances)
 	}
 	// Advancing past a pending event would fire it at the wrong time.
-	k.After(5, func() {})
+	k.AfterTask(5, Func(func() {}))
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -188,7 +258,7 @@ func TestKernelStop(t *testing.T) {
 	k := NewKernel()
 	fired := 0
 	for i := Time(0); i < 100; i++ {
-		k.At(i, func() { fired++ })
+		k.AtTask(i, Func(func() { fired++ }))
 	}
 	k.Run(func() bool { return fired >= 10 })
 	if fired != 10 {
@@ -208,13 +278,13 @@ func TestKernelOrderProperty(t *testing.T) {
 		ok := true
 		for i := 0; i < count; i++ {
 			d := Time(rng.Intn(1000))
-			k.At(d, func() {
+			k.AtTask(d, Func(func() {
 				if k.Now() < last {
 					ok = false
 				}
 				last = k.Now()
 				fired++
-			})
+			}))
 		}
 		k.Run(nil)
 		return ok && fired == count
@@ -228,11 +298,11 @@ func TestResourceSerializesOverlappingRequests(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "bus")
 	var ends []Time
-	k.At(0, func() {
-		r.Acquire(10, func() { ends = append(ends, k.Now()) })
-		r.Acquire(10, func() { ends = append(ends, k.Now()) })
-		r.Acquire(5, func() { ends = append(ends, k.Now()) })
-	})
+	k.AtTask(0, Func(func() {
+		r.AcquireTask(10, Func(func() { ends = append(ends, k.Now()) }))
+		r.AcquireTask(10, Func(func() { ends = append(ends, k.Now()) }))
+		r.AcquireTask(5, Func(func() { ends = append(ends, k.Now()) }))
+	}))
 	k.Run(nil)
 	want := []Time{10, 20, 25}
 	for i := range want {
@@ -252,60 +322,13 @@ func TestResourceIdleGapThenAcquire(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "bus")
 	var end Time
-	k.At(0, func() { r.Acquire(5, nil) })
-	k.At(100, func() {
-		end = r.Acquire(5, nil)
-	})
+	k.AtTask(0, Func(func() { r.AcquireTask(5, nil) }))
+	k.AtTask(100, Func(func() {
+		end = r.AcquireTask(5, nil)
+	}))
 	k.Run(nil)
 	if end != 105 {
 		t.Errorf("second acquire completed at %d, want 105", end)
-	}
-	if r.WaitCycles() != 0 {
-		t.Errorf("WaitCycles = %d, want 0", r.WaitCycles())
-	}
-}
-
-func TestResourceAcquireAt(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "ni")
-	var done []Time
-	k.At(0, func() {
-		// Request arrives at t=20 in the pipeline; resource free: start 20.
-		r.AcquireAt(20, 4, func() { done = append(done, k.Now()) })
-		// Second request arrives at t=10 but queues behind first (FIFO).
-		r.AcquireAt(10, 4, func() { done = append(done, k.Now()) })
-	})
-	k.Run(nil)
-	if done[0] != 24 || done[1] != 28 {
-		t.Errorf("done = %v, want [24 28]", done)
-	}
-	// Wait accounting is relative to each request's own arrival time: the
-	// first request starts the moment it arrives (no wait); the second
-	// arrives at t=10 but cannot start until t=24, waiting 14 cycles.
-	if r.WaitCycles() != 14 {
-		t.Errorf("WaitCycles = %d, want 14", r.WaitCycles())
-	}
-	if r.BusyCycles() != 8 {
-		t.Errorf("BusyCycles = %d, want 8", r.BusyCycles())
-	}
-	if r.Requests() != 2 {
-		t.Errorf("Requests = %d, want 2", r.Requests())
-	}
-}
-
-func TestResourceAcquireAtBeforeNowClamps(t *testing.T) {
-	// An arrival time in the past is clamped to Now: the request cannot
-	// retroactively occupy the resource, and the wait it accrues is
-	// measured from Now, not from the stale arrival stamp.
-	k := NewKernel()
-	r := NewResource(k, "bus")
-	var end Time
-	k.At(50, func() {
-		end = r.AcquireAt(10, 4, nil)
-	})
-	k.Run(nil)
-	if end != 54 {
-		t.Errorf("completion = %d, want 54", end)
 	}
 	if r.WaitCycles() != 0 {
 		t.Errorf("WaitCycles = %d, want 0", r.WaitCycles())

@@ -390,7 +390,10 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if npages > 1<<24 {
 		return nil, fmt.Errorf("trace: implausible page count %d", npages)
 	}
-	t.PageHomes = make(map[uint64]int32, npages)
+	// The map and the event slices below grow as entries decode, never
+	// from the header's counts alone: a short input claiming a huge count
+	// must fail on the missing bytes, not allocate for them first.
+	t.PageHomes = make(map[uint64]int32)
 	for i := uint32(0); i < npages; i++ {
 		var pg uint64
 		var home int32
@@ -411,24 +414,26 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		if count > 1<<32 {
 			return nil, fmt.Errorf("trace: implausible stream length %d", count)
 		}
-		st := make([]Event, count)
-		for j := range st {
+		var st []Event
+		for j := uint64(0); j < count; j++ {
 			var k uint8
 			var addr uint64
+			var ev Event
 			if err := read(&k); err != nil {
 				return nil, err
 			}
 			if err := read(&addr); err != nil {
 				return nil, err
 			}
-			if err := read(&st[j].N); err != nil {
+			if err := read(&ev.N); err != nil {
 				return nil, err
 			}
-			if err := read(&st[j].Obj); err != nil {
+			if err := read(&ev.Obj); err != nil {
 				return nil, err
 			}
-			st[j].Kind = cpu.TraceKind(k)
-			st[j].Addr = mem.Addr(addr)
+			ev.Kind = cpu.TraceKind(k)
+			ev.Addr = mem.Addr(addr)
+			st = append(st, ev)
 		}
 		t.Streams[i] = st
 	}

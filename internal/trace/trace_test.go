@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"latsim/internal/apps/lu"
@@ -168,6 +170,37 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadTrace(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input accepted")
+	}
+	// Short headers whose counts claim far more data than follows: the
+	// decoder must fail on the missing bytes without first allocating
+	// for the claimed counts (2^24 pages, 2^32 events).
+	header := func(npages uint32, events uint64) []byte {
+		var b bytes.Buffer
+		for _, v := range []any{magic, uint32(0), uint32(1), int64(0), uint32(0), uint32(0), npages} {
+			binary.Write(&b, binary.LittleEndian, v)
+		}
+		if npages == 0 {
+			binary.Write(&b, binary.LittleEndian, events)
+		}
+		return b.Bytes()
+	}
+	for _, in := range []struct {
+		name string
+		data []byte
+	}{
+		{"oversized page count", header(1<<24, 0)},
+		{"oversized stream length", header(0, 1<<32)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadTrace(bytes.NewReader(in.data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: %d-byte input accepted", in.name, len(in.data))
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+			t.Errorf("%s: decoding a %d-byte input allocated %d bytes", in.name, len(in.data), d)
+		}
 	}
 }
 
