@@ -8,17 +8,22 @@
 //	       [-dir-org full-map|limited-pointer|coarse-vector]
 //	       [-dir-pointers N] [-dir-coarseness N]
 //	       [-timeout D] [-seed N] [-obs] [-obs-dir DIR] [-obs-interval N]
-//	       [-obs-span-rate R] [-check] [-twin]
+//	       [-obs-span-rate R] [-listen ADDR] [-check] [-twin]
+//	latsim -from DIR/RUN.report.json
 //
 // -timeout bounds the run's wall-clock time: the simulation is canceled
 // through the job engine's context when it expires. -obs enables the
 // observability recorder and writes <dir>/<run>.report.json plus a
 // Perfetto-loadable <run>.trace.json (see the README's Observability
-// section). -check runs the simulation under the runtime coherence
-// invariant checker (internal/check): any violation aborts the run with
-// the offending line address, node and cycle. -twin additionally prints
-// the analytical twin's predicted breakdown for the same configuration
-// (the twin's reference runs simulate — and cache — on first use).
+// section). -from re-renders a saved report without simulating: it
+// prints the summary and re-emits <stem>.trace.json next to it. -listen
+// serves live telemetry (Prometheus /metrics, /progress, /debug/pprof)
+// while the run is in flight. -check runs the simulation under the
+// runtime coherence invariant checker (internal/check): any violation
+// aborts the run with the offending line address, node and cycle. -twin
+// additionally prints the analytical twin's predicted breakdown for the
+// same configuration (the twin's reference runs simulate — and cache —
+// on first use).
 package main
 
 import (
@@ -26,11 +31,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 
 	"latsim/internal/config"
 	"latsim/internal/core"
 	"latsim/internal/dirset"
 	"latsim/internal/obs"
+	"latsim/internal/runner"
 	"latsim/internal/stats"
 	"latsim/internal/twin"
 )
@@ -55,9 +63,19 @@ func main() {
 	obsDir := flag.String("obs-dir", "", "directory for observability artifacts (implies -obs; default \"obs\")")
 	obsInterval := flag.Uint64("obs-interval", 0, "observability sampling interval in cycles (0 = default)")
 	spanRate := flag.Float64("obs-span-rate", 1.0/64, "transaction span-tracing sample rate in (0, 1] when -obs is set (0 = off)")
+	from := flag.String("from", "", "re-render a saved .report.json (print the summary, re-emit the trace) instead of simulating")
+	listen := flag.String("listen", "", "serve live telemetry (Prometheus /metrics, /progress, /debug/pprof) on this host:port")
 	checkFlag := flag.Bool("check", false, "run under the coherence invariant checker; violations abort the run")
 	twinFlag := flag.Bool("twin", false, "also print the analytical twin's predicted breakdown for this configuration")
 	flag.Parse()
+
+	if *from != "" {
+		if err := rerender(*from); err != nil {
+			fmt.Fprintln(os.Stderr, "latsim:", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	scale, err := core.ParseScale(*scaleFlag)
 	if err != nil {
@@ -68,6 +86,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "latsim:", err)
 		os.Exit(2)
 	}
+	if err := config.ValidateListenAddr(*listen); err != nil {
+		fmt.Fprintln(os.Stderr, "latsim:", err)
+		os.Exit(2)
+	}
 
 	cfg := config.Default()
 	cfg.Procs = *procs
@@ -75,16 +97,8 @@ func main() {
 	cfg.Prefetch = *prefetch
 	cfg.Contexts = *contexts
 	cfg.SwitchPenalty = *switchPen
-	switch *model {
-	case "SC":
-	case "PC":
-		cfg.Model = config.PC
-	case "WC":
-		cfg.Model = config.WC
-	case "RC":
-		cfg.Model = config.RC
-	default:
-		fmt.Fprintf(os.Stderr, "latsim: unknown model %q (want SC, PC, WC or RC)\n", *model)
+	if cfg.Model, err = config.ParseConsistency(*model); err != nil {
+		fmt.Fprintln(os.Stderr, "latsim:", err)
 		os.Exit(2)
 	}
 	if *fullcache {
@@ -115,6 +129,15 @@ func main() {
 		s.Obs = &obs.Options{Interval: *obsInterval, SpanRate: *spanRate}
 	}
 	s.Check = *checkFlag
+	if *listen != "" {
+		tel, err := runner.ServeTelemetry(*listen, s.Metrics)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "latsim:", err)
+			os.Exit(1)
+		}
+		defer tel.Close()
+		fmt.Fprintf(os.Stderr, "latsim: telemetry on http://%s/metrics\n", tel.Addr())
+	}
 	if *timeout > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 		defer cancel()
@@ -186,4 +209,33 @@ func main() {
 		fmt.Printf("  obs report:         %s\n", repPath)
 		fmt.Printf("  obs trace:          %s (open at ui.perfetto.dev)\n", trPath)
 	}
+}
+
+// rerender prints the summary of a saved report and re-emits its Chrome
+// trace next to it (<stem>.trace.json), without re-running the
+// simulation.
+func rerender(path string) error {
+	rep, err := obs.ReadReport(path)
+	if err != nil {
+		return err
+	}
+	rep.Summary(os.Stdout)
+	trPath := strings.TrimSuffix(path, ".report.json")
+	if trPath == path {
+		trPath = strings.TrimSuffix(path, filepath.Ext(path))
+	}
+	trPath += ".trace.json"
+	f, err := os.Create(trPath)
+	if err != nil {
+		return err
+	}
+	if err := rep.WriteChromeTrace(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing trace: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("  obs trace:          %s (open at ui.perfetto.dev)\n", trPath)
+	return nil
 }

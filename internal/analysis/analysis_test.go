@@ -168,46 +168,6 @@ func TestFactsDocRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunnerCache verifies the per-package result cache: a second run
-// over unchanged sources serves every package from the sidecar files
-// and reproduces the first run's diagnostics exactly.
-func TestRunnerCache(t *testing.T) {
-	r := &Runner{
-		Analyzers: []*Analyzer{NewHookpure("latsim/internal/analysis/testdata/src/hookpure/relay.Recorder")},
-		CacheDir:  t.TempDir(),
-		Salt:      "test",
-	}
-	cold, coldStats, err := r.Run("./testdata/src/hookpure/relay")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coldStats.Analyzed != coldStats.Packages || coldStats.Cached != 0 {
-		t.Fatalf("cold run stats = %+v", coldStats)
-	}
-	warm, warmStats, err := r.Run("./testdata/src/hookpure/relay")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmStats.Cached != warmStats.Packages || warmStats.Analyzed != 0 {
-		t.Fatalf("warm run stats = %+v", warmStats)
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatalf("cached diagnostics differ:\ncold: %v\nwarm: %v", cold, warm)
-	}
-	if len(cold) == 0 {
-		t.Fatal("fixture should produce diagnostics")
-	}
-	// A different salt (a rebuilt tool) must invalidate everything.
-	r.Salt = "rebuilt"
-	_, saltStats, err := r.Run("./testdata/src/hookpure/relay")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if saltStats.Cached != 0 {
-		t.Fatalf("salted run stats = %+v", saltStats)
-	}
-}
-
 // TestSuiteCleanOnTree is the live gate: the production suite must
 // report zero findings on the whole module (same check CI runs via
 // cmd/latsimvet).

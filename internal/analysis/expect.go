@@ -37,8 +37,7 @@ func CheckExpectations(dir string, analyzers []*Analyzer, patterns ...string) ([
 	}
 	var problems []string
 	var wants []*expectation
-	r := &Runner{Dir: dir, Analyzers: analyzers}
-	diags, _, _, err := r.runLoaded(pkgs)
+	diags, err := runLoaded(pkgs, analyzers)
 	if err != nil {
 		return nil, err
 	}

@@ -2,8 +2,6 @@ package analysis
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -34,10 +32,6 @@ type Package struct {
 	// Imports lists the in-module packages this package imports (paths
 	// into the loaded set), for dependency-order scheduling.
 	Imports []string
-	// ExportHash identifies this package's build: a digest of its gc
-	// export data, its source bytes and its dependencies' hashes. It
-	// keys the facts sidecar and the per-package diagnostic cache.
-	ExportHash string
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
@@ -141,15 +135,12 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	var pkgs []*Package
 	for _, t := range loadable {
 		var files []*ast.File
-		srcHash := sha256.New()
 		for _, name := range t.GoFiles {
 			full := filepath.Join(t.Dir, name)
 			src, err := os.ReadFile(full)
 			if err != nil {
 				return nil, fmt.Errorf("analysis: %v", err)
 			}
-			srcHash.Write([]byte(name))
-			srcHash.Write(src)
 			f, err := parser.ParseFile(fset, full, src, parser.ParseComments)
 			if err != nil {
 				return nil, fmt.Errorf("analysis: %v", err)
@@ -191,41 +182,10 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			Dep:     t.DepOnly,
 			Imports: imports,
 		}
-		lp.ExportHash = packageHash(exports[t.ImportPath], hex.EncodeToString(srcHash.Sum(nil)))
 		byPath[t.ImportPath] = lp
 		pkgs = append(pkgs, lp)
 	}
-
-	ordered, err := topoSort(pkgs, byPath)
-	if err != nil {
-		return nil, err
-	}
-	// Fold dependency hashes in, in dependency order, so a change in a
-	// dependency's build invalidates every dependent's key too.
-	for _, p := range ordered {
-		h := sha256.New()
-		h.Write([]byte(p.ExportHash))
-		for _, ip := range p.Imports {
-			h.Write([]byte(byPath[ip].ExportHash))
-		}
-		p.ExportHash = hex.EncodeToString(h.Sum(nil))
-	}
-	return ordered, nil
-}
-
-// packageHash digests a package's gc export data file and source bytes.
-// The export data alone is not enough: gc only exports what dependents
-// can see (plus inlinable bodies), so a non-inlined function-body change
-// would otherwise slip past the cache.
-func packageHash(exportFile, srcDigest string) string {
-	h := sha256.New()
-	h.Write([]byte(srcDigest))
-	if exportFile != "" {
-		if data, err := os.ReadFile(exportFile); err == nil {
-			h.Write(data)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	return topoSort(pkgs, byPath)
 }
 
 // topoSort orders packages so every package follows its in-set imports.

@@ -159,6 +159,10 @@ func RunVetCfg(cfgPath string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return diags, nil
 }
 
+// factsSchema versions the .vetx facts document; bump on any layout
+// change so stale documents are refused, not misread.
+const factsSchema = 1
+
 // factsDoc is the on-disk .vetx layout: facts keyed by origin package,
 // the analyzed unit's own plus re-exports of everything it imported.
 type factsDoc struct {
@@ -167,7 +171,7 @@ type factsDoc struct {
 }
 
 func newFactsDoc() *factsDoc {
-	return &factsDoc{Schema: cacheSchema, Packages: map[string]*pkgFacts{}}
+	return &factsDoc{Schema: factsSchema, Packages: map[string]*pkgFacts{}}
 }
 
 func decodeFactsDoc(data []byte) (*factsDoc, error) {
@@ -178,8 +182,8 @@ func decodeFactsDoc(data []byte) (*factsDoc, error) {
 	if err := json.Unmarshal(data, doc); err != nil {
 		return nil, fmt.Errorf("analysis: decoding facts document: %v", err)
 	}
-	if doc.Schema != cacheSchema {
-		return nil, fmt.Errorf("analysis: facts document schema %d, want %d", doc.Schema, cacheSchema)
+	if doc.Schema != factsSchema {
+		return nil, fmt.Errorf("analysis: facts document schema %d, want %d", doc.Schema, factsSchema)
 	}
 	if doc.Packages == nil {
 		doc.Packages = map[string]*pkgFacts{}

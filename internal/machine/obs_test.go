@@ -138,8 +138,8 @@ func TestObsDeterministicAcrossRuns(t *testing.T) {
 }
 
 // benchRun is the obs-overhead workload: a mid-size LU on the 16-proc
-// base machine (the Figure 2 cached-SC configuration). BENCH_obs.json
-// records the on-vs-off delta.
+// base machine (the Figure 2 cached-SC configuration). The recorder's
+// overhead is the delta between BenchmarkRunObsOn and BenchmarkRunObsOff.
 func benchRun(b *testing.B, enable bool) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

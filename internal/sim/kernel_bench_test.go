@@ -4,7 +4,8 @@ import "testing"
 
 // The kernel microbenchmarks exercise the event queue in isolation so the
 // scheduling cost (ns/op and allocs/op) is visible without the rest of the
-// simulator. BENCH_kernel.json records their trajectory across PRs.
+// simulator. The repo benchmark (BENCHMARK.json, hostbench/) tracks the
+// same cost as its probe.kernel_fire metrics.
 
 // nopActor is a prebuilt pooled-style completion for the benchmarks.
 type nopActor struct{}

@@ -161,23 +161,7 @@ func (p *Replayer) Setup(m *machine.Machine) error {
 	if m.Config().TotalProcesses() != p.T.Procs {
 		return fmt.Errorf("trace: recorded with %d processes, machine runs %d", p.T.Procs, m.Config().TotalProcesses())
 	}
-	p.lo, p.hi = ^mem.Addr(0), 0
-	for _, st := range p.T.Streams {
-		for _, ev := range st {
-			switch ev.Kind {
-			case cpu.TRead, cpu.TWrite, cpu.TPrefetch, cpu.TPrefetchExcl:
-				if ev.Addr < p.lo {
-					p.lo = ev.Addr
-				}
-				if ev.Addr > p.hi {
-					p.hi = ev.Addr
-				}
-			}
-		}
-	}
-	if p.lo > p.hi {
-		p.lo, p.hi = 0, 0
-	}
+	p.lo, p.hi = p.T.addrSpan()
 	// Allocate page by page, placing each on the node that was its home
 	// in the recording (modulo the replay machine's node count).
 	loPage := mem.PageOf(p.lo)
@@ -251,6 +235,25 @@ func (p *Replayer) Worker(e *cpu.Env, pid, nprocs int) {
 
 func (p *Replayer) remap(a mem.Addr) mem.Addr { return p.base + (a - p.lo) }
 
+// addrSpan returns the lowest and highest address the trace's memory
+// operations reference (0, 0 when there are none): the region a replay
+// allocates.
+func (t *Trace) addrSpan() (lo, hi mem.Addr) {
+	lo, hi = ^mem.Addr(0), 0
+	for _, st := range t.Streams {
+		for _, ev := range st {
+			switch ev.Kind {
+			case cpu.TRead, cpu.TWrite, cpu.TPrefetch, cpu.TPrefetchExcl:
+				lo, hi = min(lo, ev.Addr), max(hi, ev.Addr)
+			}
+		}
+	}
+	if lo > hi {
+		return 0, 0
+	}
+	return lo, hi
+}
+
 // Events returns the total number of recorded events.
 func (t *Trace) Events() int {
 	n := 0
@@ -263,6 +266,14 @@ func (t *Trace) Events() int {
 // Serialization: a simple self-describing little-endian binary format.
 
 const magic = uint32(0x4c415431) // "LAT1"
+
+// maxSpanPages caps the address span a decoded trace may reference:
+// Replayer.Setup allocates every page from the lowest to the highest
+// referenced address, so a span is a memory commitment. The largest
+// span the repo's apps reference at paper scale is PTHOR's: 673 pages
+// (2.6 MiB) on 16 processors. 1<<16 pages (256 MiB) leaves a margin of
+// about 97x.
+const maxSpanPages = 1 << 16
 
 // WriteTo serializes the trace.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
@@ -338,7 +349,10 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// ReadTrace deserializes a trace written by WriteTo.
+// ReadTrace deserializes a trace written by WriteTo. It validates
+// everything Replayer.Setup and Replayer.Worker index or allocate by, so
+// a malformed input fails here with an error: event kinds, lock and
+// barrier ids, page homes, barrier sizes and the referenced page span.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	read := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
@@ -379,9 +393,19 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	}
 	t.Procs = int(procs)
 	t.Locks = int(locks)
-	t.Barriers = make([]int32, nbars)
-	if err := read(&t.Barriers); err != nil {
-		return nil, err
+	// The barrier list, the page map and the event slices below grow as
+	// entries decode, never from the header's counts alone: a short input
+	// claiming a huge count must fail on the missing bytes, not allocate
+	// for them first.
+	for i := uint32(0); i < nbars; i++ {
+		var total int32
+		if err := read(&total); err != nil {
+			return nil, err
+		}
+		if total < 1 {
+			return nil, fmt.Errorf("trace: barrier %d has %d participants", i, total)
+		}
+		t.Barriers = append(t.Barriers, total)
 	}
 	var npages uint32
 	if err := read(&npages); err != nil {
@@ -390,9 +414,6 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if npages > 1<<24 {
 		return nil, fmt.Errorf("trace: implausible page count %d", npages)
 	}
-	// The map and the event slices below grow as entries decode, never
-	// from the header's counts alone: a short input claiming a huge count
-	// must fail on the missing bytes, not allocate for them first.
 	t.PageHomes = make(map[uint64]int32)
 	for i := uint32(0); i < npages; i++ {
 		var pg uint64
@@ -403,8 +424,12 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		if err := read(&home); err != nil {
 			return nil, err
 		}
+		if home < 0 {
+			return nil, fmt.Errorf("trace: page %#x has home node %d", pg, home)
+		}
 		t.PageHomes[pg] = home
 	}
+	lockEvents := 0
 	t.Streams = make([][]Event, t.Procs)
 	for i := 0; i < t.Procs; i++ {
 		var count uint64
@@ -433,9 +458,31 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			}
 			ev.Kind = cpu.TraceKind(k)
 			ev.Addr = mem.Addr(addr)
+			ids := -1 // a sync operation's object-id range
+			switch ev.Kind {
+			case cpu.TLock, cpu.TUnlock:
+				lockEvents++
+				ids = t.Locks
+			case cpu.TBarrier:
+				ids = len(t.Barriers)
+			}
+			switch {
+			case ev.Kind > cpu.TBarrier:
+				return nil, fmt.Errorf("trace: process %d event %d has unknown kind %d", i, j, k)
+			case ids >= 0 && (ev.Obj < 0 || int(ev.Obj) >= ids):
+				return nil, fmt.Errorf("trace: process %d event %d names object %d of %d", i, j, ev.Obj, ids)
+			}
 			st = append(st, ev)
 		}
 		t.Streams[i] = st
+	}
+	// The recorder numbers a lock only when a process uses it, so a
+	// trace cannot hold more locks than lock operations.
+	if t.Locks > lockEvents {
+		return nil, fmt.Errorf("trace: %d locks but only %d lock operations", t.Locks, lockEvents)
+	}
+	if lo, hi := t.addrSpan(); mem.PageOf(hi)-mem.PageOf(lo) >= maxSpanPages {
+		return nil, fmt.Errorf("trace: references span %d pages (limit %d)", mem.PageOf(hi)-mem.PageOf(lo)+1, maxSpanPages)
 	}
 	return t, nil
 }

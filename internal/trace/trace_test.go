@@ -9,7 +9,9 @@ import (
 
 	"latsim/internal/apps/lu"
 	"latsim/internal/config"
+	"latsim/internal/cpu"
 	"latsim/internal/machine"
+	"latsim/internal/mem"
 	"latsim/internal/obs"
 )
 
@@ -164,6 +166,55 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 }
 
+// encode serializes t, which may be malformed on purpose: WriteTo
+// writes whatever the struct holds.
+func encode(t *Trace) []byte {
+	var b bytes.Buffer
+	if _, err := t.WriteTo(&b); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
+}
+
+// header encodes a trace header (empty app name, one process, nbars
+// barriers) followed by the given fields, to build inputs whose counts
+// claim far more data than follows.
+func header(nbars uint32, fields ...any) []byte {
+	var b bytes.Buffer
+	for _, v := range append([]any{magic, uint32(0), uint32(1), int64(0), uint32(0), nbars}, fields...) {
+		binary.Write(&b, binary.LittleEndian, v)
+	}
+	return b.Bytes()
+}
+
+// malformed lists inputs the decoder must refuse. Each once crashed
+// either ReadTrace or, once accepted, Replayer.Setup.
+func malformed() []struct {
+	name string
+	data []byte
+} {
+	read := func(addr mem.Addr) Event { return Event{Kind: cpu.TRead, Addr: addr} }
+	one := func(evs ...Event) [][]Event { return [][]Event{evs} }
+	return []struct {
+		name string
+		data []byte
+	}{
+		// Counts that outrun the input (2^24 pages, 2^32 events, 2^20
+		// barriers): fail on the missing bytes, allocating nothing for
+		// the claimed counts.
+		{"oversized page count", header(0, uint32(1<<24))},
+		{"oversized stream length", header(0, uint32(0), uint64(1<<32))},
+		{"truncated barrier list", header(1<<20, int32(1), int32(1), int32(1))},
+		// Decodable shapes that Setup would trip over.
+		{"more locks than lock operations", encode(&Trace{AppName: "malformed", Procs: 1, Locks: 1<<32 - 1, Streams: one()})},
+		{"references 1 TiB apart", encode(&Trace{AppName: "malformed", Procs: 1, Streams: one(read(0), read(1<<40))})},
+		{"lock id out of range", encode(&Trace{AppName: "malformed", Procs: 1, Locks: 1, Streams: one(Event{Kind: cpu.TLock, Obj: 5})})},
+		{"negative page home", encode(&Trace{AppName: "malformed", Procs: 1, PageHomes: map[uint64]int32{0: -3}, Streams: one(read(0))})},
+		{"barrier of zero", encode(&Trace{AppName: "malformed", Procs: 1, Barriers: []int32{0}, Streams: one(Event{Kind: cpu.TBarrier})})},
+		{"unknown event kind", encode(&Trace{AppName: "malformed", Procs: 1, Streams: one(Event{Kind: cpu.TBarrier + 1})})},
+	}
+}
+
 func TestReadTraceRejectsGarbage(t *testing.T) {
 	if _, err := ReadTrace(bytes.NewReader([]byte("not a trace file"))); err == nil {
 		t.Error("garbage accepted")
@@ -171,26 +222,7 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 	if _, err := ReadTrace(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input accepted")
 	}
-	// Short headers whose counts claim far more data than follows: the
-	// decoder must fail on the missing bytes without first allocating
-	// for the claimed counts (2^24 pages, 2^32 events).
-	header := func(npages uint32, events uint64) []byte {
-		var b bytes.Buffer
-		for _, v := range []any{magic, uint32(0), uint32(1), int64(0), uint32(0), uint32(0), npages} {
-			binary.Write(&b, binary.LittleEndian, v)
-		}
-		if npages == 0 {
-			binary.Write(&b, binary.LittleEndian, events)
-		}
-		return b.Bytes()
-	}
-	for _, in := range []struct {
-		name string
-		data []byte
-	}{
-		{"oversized page count", header(1<<24, 0)},
-		{"oversized stream length", header(0, 1<<32)},
-	} {
+	for _, in := range malformed() {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := ReadTrace(bytes.NewReader(in.data))
@@ -202,6 +234,39 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 			t.Errorf("%s: decoding a %d-byte input allocated %d bytes", in.name, len(in.data), d)
 		}
 	}
+}
+
+// FuzzReadTrace decodes arbitrary bytes. A decoded trace must set up a
+// replay on a matching machine without panicking: ReadTrace owns every
+// check Setup relies on.
+func FuzzReadTrace(f *testing.F) {
+	for _, in := range malformed() {
+		f.Add(in.data)
+	}
+	// One small valid trace (2 KB: locks, barriers, reads and writes),
+	// so mutations start from a real shape.
+	rec := NewRecorder(lu.New(lu.Scaled(4)))
+	m, err := machine.New(cfg4(func(c *config.Config) { c.Procs = 2 }))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := m.Run(rec); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(encode(rec.Trace()))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadTrace(bytes.NewReader(data))
+		if err != nil || tr.Procs < 1 || tr.Procs > 16 {
+			return
+		}
+		cfg := config.Default()
+		cfg.Procs = tr.Procs
+		m, err := machine.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = NewReplayer(tr).Setup(m) // nil or an error; only a panic fails
+	})
 }
 
 // TestReplayObsDeterminism replays the same trace twice with the
