@@ -70,7 +70,8 @@ func (e *Env) trace(k TraceKind, addr mem.Addr, n int, lock *msync.Lock, bar *ms
 }
 
 // submit hands the operation to the processor and blocks the process until
-// the simulator has executed it.
+// the simulator has executed it. If the run ends first (Processor.Stop),
+// submit does not return: the worker is unwound.
 func (e *Env) submit(o op) {
 	e.c.cur = o
 	e.c.co.Yield()

@@ -200,6 +200,15 @@ func (p *Processor) Start() {
 	p.k.AtTask(0, p)
 }
 
+// Stop ends every context's process that has not finished, so its
+// goroutine exits. The owner calls it once the run is over, however it
+// ended; the processor must not be stepped afterwards.
+func (p *Processor) Stop() {
+	for _, c := range p.ctxs {
+		c.co.Stop()
+	}
+}
+
 // Done reports whether every context has finished.
 func (p *Processor) Done() bool { return len(p.ctxs) == 0 || p.finished == len(p.ctxs) }
 

@@ -201,6 +201,14 @@ func (m *Machine) RunContext(ctx context.Context, app App) (*Result, error) {
 		return nil, fmt.Errorf("machine: setup of %s: %w", app.Name(), err)
 	}
 	total := m.cfg.TotalProcesses()
+	// Every exit below (finish, cancel, watchdog, deadlock, an error or
+	// a panic on the kernel side) must end the processes that are still
+	// suspended, or their goroutines leak and pin the whole Machine.
+	defer func() {
+		for _, p := range m.procs {
+			p.Stop()
+		}
+	}()
 	for pid := 0; pid < total; pid++ {
 		node := m.NodeOfProcess(pid)
 		pid := pid

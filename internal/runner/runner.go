@@ -419,9 +419,8 @@ func (r *Runner) finish(t *Task, res *machine.Result, err error, hit bool, start
 	}
 	snap := r.metrics
 	r.mu.Unlock()
-	t.res, t.err, t.hit = res, err, hit
-	close(t.done)
-	r.opts.Hooks.Finish(t.Key, t.Job, err, hit)
+	// The progress line goes out before the result is delivered, so a
+	// submitter that reads the trace after Run returns sees it.
 	total := snap.Done() + snap.Queued + snap.Running
 	switch {
 	case err != nil:
@@ -432,6 +431,9 @@ func (r *Runner) finish(t *Task, res *machine.Result, err error, hit bool, start
 		r.tracef("  done %s: %d cycles in %v (%d/%d jobs)",
 			t.Job, res.Elapsed, wall.Round(time.Millisecond), snap.Done(), total)
 	}
+	t.res, t.err, t.hit = res, err, hit
+	close(t.done)
+	r.opts.Hooks.Finish(t.Key, t.Job, err, hit)
 }
 
 // tracef writes one progress line, serialized across workers.

@@ -79,3 +79,22 @@ func BenchmarkKernelResource(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCoroutineSwitch measures one app<->kernel handoff: a Resume
+// that runs the process to its next Yield, the cost every simulated
+// operation pays.
+func BenchmarkCoroutineSwitch(b *testing.B) {
+	var co *Coroutine
+	co = NewCoroutine(func() {
+		for {
+			co.Yield()
+		}
+	})
+	defer co.Stop()
+	co.Resume() // start the body outside the measured region
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		co.Resume()
+	}
+}

@@ -376,6 +376,80 @@ func TestCoroutinePanicPropagates(t *testing.T) {
 	co.Resume()
 }
 
+func TestCoroutineStopBeforeStart(t *testing.T) {
+	ran := false
+	co := NewCoroutine(func() { ran = true })
+	co.Stop()
+	if ran {
+		t.Error("Stop before the first Resume ran the body")
+	}
+	if !co.Finished() {
+		t.Error("Finished() = false after Stop")
+	}
+}
+
+func TestCoroutineStopUnwindsBody(t *testing.T) {
+	// The body polls state that never changes, so only unwinding at
+	// Yield can end it.
+	var co *Coroutine
+	never, deferred, after := false, false, false
+	co = NewCoroutine(func() {
+		defer func() { deferred = true }()
+		for !never {
+			co.Yield()
+		}
+		after = true
+	})
+	for i := 0; i < 3; i++ {
+		if !co.Resume() {
+			t.Fatal("coroutine finished early")
+		}
+	}
+	co.Stop()
+	if !deferred {
+		t.Error("Stop did not run the body's deferred calls")
+	}
+	if after {
+		t.Error("Yield returned after Stop")
+	}
+	if !co.Finished() {
+		t.Error("Finished() = false after Stop")
+	}
+	co.Stop() // a second Stop is a no-op
+}
+
+func TestCoroutineStopPropagatesPanic(t *testing.T) {
+	var co *Coroutine
+	co = NewCoroutine(func() {
+		defer func() { panic("cleanup failed") }()
+		co.Yield()
+	})
+	co.Resume()
+	defer func() {
+		if r := recover(); r != "sim: process panicked: cleanup failed" {
+			t.Errorf("Stop raised %v, want the body's unwinding panic", r)
+		}
+	}()
+	co.Stop()
+}
+
+func TestCoroutineResumeAfterStopPanics(t *testing.T) {
+	var co *Coroutine
+	co = NewCoroutine(func() {
+		for {
+			co.Yield()
+		}
+	})
+	co.Resume()
+	co.Stop()
+	defer func() {
+		if recover() == nil {
+			t.Error("Resume after Stop did not panic")
+		}
+	}()
+	co.Resume()
+}
+
 func TestCoroutineInterleavingDeterministic(t *testing.T) {
 	// Two coroutines resumed alternately must interleave identically
 	// every run.
