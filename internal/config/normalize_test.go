@@ -1,6 +1,7 @@
 package config
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -116,4 +117,42 @@ func TestOverlayCanonical(t *testing.T) {
 	if spelled != omitted {
 		t.Fatalf("spelled defaults != omitted defaults:\n%+v\n%+v", spelled, omitted)
 	}
+}
+
+// FuzzOverlay overlays arbitrary bytes on the defaults. It must never
+// panic, and an accepted overlay is canonical: re-encoding the result
+// with json.Marshal and overlaying that on the same base gives back the
+// identical Config, the form the sweep service's job dedup relies on.
+func FuzzOverlay(f *testing.F) {
+	for _, raw := range []string{
+		"", "{}",
+		`{"Procs": 4, "Contexts": 2}`,
+		`{"SwitchPenalty": 0}`,
+		`{"Procss": 4}`,
+		`{"Procs": 4} {"Procs": 8}`,
+		`{"Procs": 0}`,
+		`{"Model": "RC", "DirOrg": "limited-pointer"}`,
+		`{"Model": 3, "DirOrg": 2}`,
+		`{"Model": "XC"}`, `{"Model": 9}`, `{"DirOrg": "sparse"}`, `{"DirOrg": 7}`,
+		`{"Procs": 16, "Model": "SC"}`,
+	} {
+		f.Add([]byte(raw))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		c, err := Overlay(Default(), raw)
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(c)
+		if err != nil {
+			t.Fatalf("marshal accepted config %+v: %v", c, err)
+		}
+		again, err := Overlay(Default(), enc)
+		if err != nil {
+			t.Fatalf("re-encoded overlay %s rejected: %v", enc, err)
+		}
+		if again != c {
+			t.Fatalf("re-encoded overlay changed the config:\n%+v\n%+v", c, again)
+		}
+	})
 }

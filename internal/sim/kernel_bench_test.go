@@ -46,7 +46,9 @@ func BenchmarkKernelScheduleFire(b *testing.B) {
 }
 
 // BenchmarkKernelHeapChurn keeps a deep queue (1024 pending events) and
-// measures push+pop through it, the worst case for heap reordering.
+// measures push+pop through it. Every delay is under 256 cycles, so all
+// of them land in the timing wheel: this is the model's common case at a
+// deep queue, not the heap path (see BenchmarkKernelFarChurn).
 func BenchmarkKernelHeapChurn(b *testing.B) {
 	k := NewKernel()
 	var a nopActor
@@ -59,6 +61,24 @@ func BenchmarkKernelHeapChurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.AfterTask(Time(i*13%255+1), a)
+		k.Step()
+	}
+}
+
+// BenchmarkKernelFarChurn is BenchmarkKernelHeapChurn with every delay at
+// least the wheel span, so every event takes the spill-heap path, the
+// worst case for heap reordering.
+func BenchmarkKernelFarChurn(b *testing.B) {
+	k := NewKernel()
+	var a nopActor
+	const depth = 1024
+	for i := 0; i < depth; i++ {
+		k.AfterTask(wheelSpan+Time(i*7%255), a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.AfterTask(wheelSpan+Time(i*13%255+1), a)
 		k.Step()
 	}
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -266,31 +268,243 @@ func TestKernelStop(t *testing.T) {
 	}
 }
 
-// Property: for any random schedule, events fire in nondecreasing time
-// order and all events fire exactly once.
+// Property: for any random schedule, including events scheduled from
+// inside Act, the kernel fires every event exactly once and in exactly
+// the order of a reference sort by (time, schedule sequence). Delays run
+// from 0 to three wheel spans, weighted toward small values and toward
+// the wheel/heap boundary, so that heap and wheel events often share a
+// cycle and the heap-first tie rule decides their order.
 func TestKernelOrderProperty(t *testing.T) {
+	type ev struct {
+		at  Time
+		seq int
+	}
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
+		delay := func() Time {
+			switch r := rng.Intn(10); {
+			case r < 4:
+				return Time(rng.Intn(8))
+			case r < 7:
+				return wheelSpan - 2 + Time(rng.Intn(5)) // span-2 .. span+2
+			default:
+				return Time(rng.Intn(3*wheelSpan + 1))
+			}
+		}
 		k := NewKernel()
-		count := int(n)%64 + 1
-		fired := 0
-		var last Time
-		ok := true
-		for i := 0; i < count; i++ {
-			d := Time(rng.Intn(1000))
-			k.AtTask(d, Func(func() {
-				if k.Now() < last {
-					ok = false
+		var scheduled []ev
+		var fired []int
+		budget := 4 * (int(n) + 1) // events that Act may still schedule
+		var schedule func(d Time)
+		schedule = func(d Time) {
+			e := ev{at: k.Now() + d, seq: len(scheduled)}
+			scheduled = append(scheduled, e)
+			k.AfterTask(d, Func(func() {
+				if k.Now() != e.at {
+					t.Errorf("event %d fired at %d, want %d", e.seq, k.Now(), e.at)
 				}
-				last = k.Now()
-				fired++
+				fired = append(fired, e.seq)
+				for budget > 0 && rng.Intn(3) > 0 {
+					budget--
+					if rng.Intn(4) == 0 {
+						schedule(0)
+					} else {
+						schedule(delay())
+					}
+				}
 			}))
 		}
+		for i := int(n)%64 + 1; i > 0; i-- {
+			schedule(delay())
+		}
 		k.Run(nil)
-		return ok && fired == count
+		want := append([]ev(nil), scheduled...)
+		sort.Slice(want, func(i, j int) bool {
+			return want[i].at < want[j].at || (want[i].at == want[j].at && want[i].seq < want[j].seq)
+		})
+		if len(fired) != len(want) || k.Pending() != 0 {
+			return false
+		}
+		for i := range want {
+			if fired[i] != want[i].seq {
+				return false
+			}
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// logAt schedules an event at t that appends id to log.
+func logAt(k *Kernel, t Time, id int, log *[]int) {
+	k.AtTask(t, Func(func() { *log = append(*log, id) }))
+}
+
+func checkLog(t *testing.T, got []int, want ...int) {
+	t.Helper()
+	if !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}
+
+// A heap event and a wheel event due the same cycle: the heap event was
+// scheduled first, so it fires first.
+func TestKernelHeapBeforeWheelOnTie(t *testing.T) {
+	k := NewKernel()
+	var log []int
+	logAt(k, wheelSpan, 0, &log) // span ahead: heap
+	if len(k.heap) != 1 || k.nwheel != 0 {
+		t.Fatalf("heap %d, wheel %d; want the event in the heap", len(k.heap), k.nwheel)
+	}
+	k.AdvanceTo(1)
+	logAt(k, wheelSpan, 1, &log) // span-1 ahead: wheel
+	logAt(k, wheelSpan, 2, &log)
+	if len(k.heap) != 1 || k.nwheel != 2 {
+		t.Fatalf("heap %d, wheel %d; want 1, 2", len(k.heap), k.nwheel)
+	}
+	k.Run(nil)
+	checkLog(t, log, 0, 1, 2)
+}
+
+// Delays of span-1 and span fall on either side of the wheel/heap
+// boundary and fire at their own times.
+func TestKernelWheelBoundaryDelays(t *testing.T) {
+	k := NewKernel()
+	k.AdvanceTo(100)
+	var at []Time
+	rec := Func(func() { at = append(at, k.Now()) })
+	k.AfterTask(wheelSpan, rec)
+	k.AfterTask(wheelSpan-1, rec)
+	if len(k.heap) != 1 || k.nwheel != 1 {
+		t.Fatalf("heap %d, wheel %d; want 1, 1", len(k.heap), k.nwheel)
+	}
+	k.Run(nil)
+	if len(at) != 2 || at[0] != 100+wheelSpan-1 || at[1] != 100+wheelSpan {
+		t.Fatalf("fired at %v, want [%d %d]", at, 100+wheelSpan-1, 100+wheelSpan)
+	}
+}
+
+// Buckets are reused as now passes several multiples of the span: a
+// chain of events landing just before and just after each wrap, each
+// with a companion one span later in the same bucket, fires every event
+// at its own time.
+func TestKernelWheelWrapAround(t *testing.T) {
+	k := NewKernel()
+	delays := []Time{wheelSpan - 1, 1, 1, wheelSpan - 2, 3, wheelSpan, 2*wheelSpan + 5, 7, wheelSpan - 1}
+	fired := 0
+	var chain func(i int)
+	chain = func(i int) {
+		if i == len(delays) {
+			return
+		}
+		for j, d := range []Time{delays[i], delays[i] + wheelSpan} {
+			want := k.Now() + d
+			k.AfterTask(d, Func(func() {
+				if k.Now() != want {
+					t.Errorf("event fired at %d, want %d", k.Now(), want)
+				}
+				fired++
+				if j == 0 {
+					chain(i + 1)
+				}
+			}))
+		}
+	}
+	chain(0)
+	k.Run(nil)
+	if fired != 2*len(delays) {
+		t.Errorf("fired %d events, want %d", fired, 2*len(delays))
+	}
+	if k.Now() < 5*wheelSpan {
+		t.Errorf("chain ended at %d, want past %d", k.Now(), 5*wheelSpan)
+	}
+}
+
+// AdvanceTo must not pass a pending event, whether it sits in the wheel
+// or in the heap.
+func TestKernelAdvanceToPastWheelOrHeapPanics(t *testing.T) {
+	for _, d := range []Time{5, wheelSpan - 1, wheelSpan, 3 * wheelSpan} {
+		k := NewKernel()
+		k.AfterTask(d, Func(func() {}))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("delay %d: AdvanceTo past the event did not panic", d)
+				}
+			}()
+			k.AdvanceTo(d + 1)
+		}()
+		k.AdvanceTo(d) // up to the event is legal
+	}
+}
+
+// NextAt, Pending and RunUntil see events in both the wheel and the heap.
+func TestKernelWheelAndHeapQueries(t *testing.T) {
+	k := NewKernel()
+	var log []int
+	logAt(k, 3*wheelSpan, 0, &log) // heap
+	logAt(k, 10, 1, &log)          // wheel
+	logAt(k, wheelSpan+1, 2, &log) // heap
+	if k.Pending() != 3 {
+		t.Fatalf("Pending = %d, want 3", k.Pending())
+	}
+	if next, ok := k.NextAt(); !ok || next != 10 {
+		t.Fatalf("NextAt = %d,%v, want 10 (wheel)", next, ok)
+	}
+	k.RunUntil(wheelSpan)
+	checkLog(t, log, 1)
+	if next, ok := k.NextAt(); !ok || next != wheelSpan+1 || k.Now() != wheelSpan {
+		t.Fatalf("NextAt = %d,%v at %d, want %d (heap) at %d", next, ok, k.Now(), wheelSpan+1, wheelSpan)
+	}
+	logAt(k, wheelSpan+2, 3, &log) // wheel, after the heap head
+	logAt(k, 2*wheelSpan, 4, &log) // wheel
+	if k.Pending() != 4 {
+		t.Fatalf("Pending = %d, want 4", k.Pending())
+	}
+	k.RunUntil(2 * wheelSpan)
+	checkLog(t, log, 1, 2, 3, 4)
+	if next, ok := k.NextAt(); !ok || next != 3*wheelSpan {
+		t.Fatalf("NextAt = %d,%v, want %d", next, ok, 3*wheelSpan)
+	}
+	k.RunUntil(4 * wheelSpan)
+	checkLog(t, log, 1, 2, 3, 4, 0)
+	if _, ok := k.NextAt(); ok || k.Pending() != 0 || k.Now() != 4*wheelSpan {
+		t.Fatalf("after draining: NextAt ok=%v, Pending %d, Now %d", ok, k.Pending(), k.Now())
+	}
+}
+
+// Fired wheel events return their slab nodes for reuse: the queue drains
+// to Pending() == 0, and steady churn at a fixed depth does not grow the
+// slab past the depth it first reached.
+func TestKernelWheelSlabReuse(t *testing.T) {
+	k := NewKernel()
+	a := Func(func() {})
+	const depth = 300
+	for i := 0; i < depth; i++ {
+		k.AfterTask(Time(i*7%(wheelSpan-1)), a)
+	}
+	churn := func(n int) {
+		for i := 0; i < n; i++ {
+			k.AfterTask(Time(i*13%(wheelSpan-1)), a)
+			k.Step()
+		}
+	}
+	churn(1) // one event beyond depth is pending between push and fire
+	high := len(k.slab)
+	churn(100000)
+	if len(k.slab) != high {
+		t.Errorf("slab grew from %d to %d nodes under steady churn", high, len(k.slab))
+	}
+	k.Run(nil)
+	if k.Pending() != 0 || k.nwheel != 0 {
+		t.Errorf("Pending = %d, wheel %d after draining", k.Pending(), k.nwheel)
+	}
+	for i, w := range k.occ {
+		if w != 0 {
+			t.Errorf("occupancy word %d = %#x after draining", i, w)
+		}
 	}
 }
 
