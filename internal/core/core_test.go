@@ -13,9 +13,16 @@ import (
 // small scale, not absolute numbers. Each corresponds to a claim in the
 // paper's text.
 
+// shared is the one session the shape tests draw from, so the base
+// configurations that the figures, the summary and the ablations have in
+// common simulate once per test binary, not once per test. No test
+// mutates a session or a result it returns; the tests that need a cold
+// or separately configured session (parallel_test.go) build their own.
+var shared = NewSession(ScaleSmall)
+
 func session(t *testing.T) *Session {
 	t.Helper()
-	return NewSession(ScaleSmall)
+	return shared
 }
 
 func TestTable1MatchesPaperExactly(t *testing.T) {

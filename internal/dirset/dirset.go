@@ -111,6 +111,14 @@ type View interface {
 	Len() int
 	// ForEach calls fn for every included node in ascending id order.
 	ForEach(fn func(id int))
+	// Next returns the smallest included node id greater than after, or
+	// -1 if there is none: Next(-1) is the first. It visits the same
+	// nodes in the same order as ForEach, without a callback, so a hot
+	// loop iterates with no closure to allocate. ForEach keeps its own
+	// word-at-a-time body rather than a Next loop: on the probe.dirset
+	// walk (8 sharers at 256 nodes) a Next loop measured 1.2x slower on
+	// full-map and limited-pointer and 2x slower on coarse-vector.
+	Next(after int) int
 	// Precise reports whether the set currently equals the exact set of
 	// nodes that were added (and not removed): full-map always,
 	// limited-pointer until it overflows, coarse-vector only at k = 1.
@@ -174,6 +182,7 @@ type noneView struct{}
 func (noneView) Contains(int) bool    { return false }
 func (noneView) Len() int             { return 0 }
 func (noneView) ForEach(func(id int)) {}
+func (noneView) Next(int) int         { return -1 }
 func (noneView) Precise() bool        { return true }
 func (noneView) Overflowed() bool     { return false }
 func (noneView) Bits() int            { return 0 }
@@ -217,6 +226,25 @@ func (s *bitSet) ForEach(fn func(id int)) {
 			w &^= 1 << uint(b)
 		}
 	}
+}
+
+func (s *bitSet) Next(after int) int { return nextBit(s.words, after+1) }
+
+// nextBit returns the index of the lowest set bit at or above i, or -1.
+func nextBit(words []uint64, i int) int {
+	wi := i >> 6
+	if wi >= len(words) {
+		return -1
+	}
+	w := words[wi] &^ (1<<uint(i&63) - 1)
+	for w == 0 {
+		wi++
+		if wi == len(words) {
+			return -1
+		}
+		w = words[wi]
+	}
+	return wi<<6 + bits.TrailingZeros64(w)
 }
 
 func (s *bitSet) Precise() bool    { return true }
@@ -307,6 +335,21 @@ func (s *ptrSet) ForEach(fn func(id int)) {
 	}
 }
 
+func (s *ptrSet) Next(after int) int {
+	if s.bcast {
+		if after+1 < s.procs {
+			return after + 1
+		}
+		return -1
+	}
+	for _, p := range s.ptrs {
+		if p > after {
+			return p
+		}
+	}
+	return -1
+}
+
 func (s *ptrSet) Precise() bool    { return !s.bcast }
 func (s *ptrSet) Overflowed() bool { return s.bcast }
 
@@ -374,6 +417,21 @@ func (s *coarseSet) ForEach(fn func(id int)) {
 			}
 		}
 	}
+}
+
+func (s *coarseSet) Next(after int) int {
+	id := after + 1
+	if id >= s.procs {
+		return -1
+	}
+	g := nextBit(s.words, id/s.k)
+	switch {
+	case g < 0:
+		return -1
+	case g == id/s.k:
+		return id // id's own group is marked
+	}
+	return g * s.k // the first member of the next marked group
 }
 
 func (s *coarseSet) Precise() bool    { return s.k == 1 }

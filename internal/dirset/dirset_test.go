@@ -245,9 +245,65 @@ func TestForEachDeterminism(t *testing.T) {
 	}
 }
 
+// TestWalksVisitContainedNodes: walking a set with Next, and with
+// ForEach, visits exactly the nodes Contains reports, in ascending order,
+// for every organization — including word and group boundaries, a ragged
+// last coarse group and a limited-pointer set before and after it
+// overflows.
+func TestWalksVisitContainedNodes(t *testing.T) {
+	const procs = 130
+	walk := func(v View) []int {
+		ids := []int{}
+		for id := v.Next(-1); id >= 0; id = v.Next(id) {
+			ids = append(ids, id)
+		}
+		return ids
+	}
+	contained := func(v View) []int {
+		ids := []int{}
+		for id := 0; id < procs; id++ {
+			if v.Contains(id) {
+				ids = append(ids, id)
+			}
+		}
+		return ids
+	}
+	scripts := [][]int{
+		{},
+		{0},
+		{99},
+		{63, 64},
+		{5, 0, 64, 127, 128, 99},
+		{1, 2, 3, 40, 41, 97, 98},
+	}
+	for _, org := range []Org{FullMap, LimitedPtr, CoarseVector} {
+		for _, k := range []int{1, 3, 8} {
+			for _, ids := range scripts {
+				s := New(org, procs, 4, k)
+				for _, id := range ids {
+					s.Add(id)
+					want := contained(s)
+					if got := walk(s); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%v k=%d after adding %v: Next walk %v, Contains %v", org, k, ids, got, want)
+					}
+					if got := collect(s); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%v k=%d after adding %v: ForEach %v, Contains %v", org, k, ids, got, want)
+					}
+					if s.Len() != len(want) {
+						t.Fatalf("%v k=%d after adding %v: Len %d, Contains %d nodes", org, k, ids, s.Len(), len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestNoneView(t *testing.T) {
 	if None.Len() != 0 || None.Contains(0) || None.Overflowed() || !None.Precise() {
 		t.Fatal("None must be the precise empty view")
+	}
+	if None.Next(-1) != -1 {
+		t.Fatal("None.Next yielded a node")
 	}
 	None.ForEach(func(int) { t.Fatal("None.ForEach yielded a node") })
 }

@@ -42,15 +42,30 @@ type arena struct {
 	left int  // bytes remaining in the current page
 }
 
+// frame is one page-table entry: the page's home node and its frame
+// number there (the page's ordinal among the pages homed on that node,
+// in address order). home is -1 for a page that is not allocated.
+type frame struct {
+	home, num int32
+}
+
 // Allocator hands out simulated shared memory and records the home node of
 // every allocated page. Small allocations from the same placement domain
 // (a specific node, or the round-robin pool) pack into shared pages at
 // cache-line granularity, so data structures lay out realistically.
+//
+// Pages are bump-allocated from PageSize upward, so page numbers are
+// dense: the page table is a slice indexed by page number, and looking up
+// a home is one bounds check and one load. Page 0 is never allocated
+// (address 0 stays invalid); its entry is the "not allocated" sentinel.
+// Each node's pages are also numbered densely in address order (their
+// frame numbers), so a home node can keep per-page state in a slice.
 type Allocator struct {
-	nodes    int
-	next     Addr // next fresh page
-	rrNode   int  // next node for round-robin page placement
-	pageHome map[uint64]int
+	nodes  int
+	next   Addr    // next fresh page
+	rrNode int     // next node for round-robin page placement
+	pages  []frame // page table, indexed by page number
+	frames []int32 // pages placed on each node so far
 
 	perNode []arena // partial pages for node-targeted allocation
 	rr      arena   // partial page for round-robin small allocations
@@ -65,10 +80,11 @@ func NewAllocator(nodes int) *Allocator {
 		panic("mem: allocator needs at least one node")
 	}
 	return &Allocator{
-		nodes:    nodes,
-		next:     PageSize, // keep address 0 invalid
-		pageHome: make(map[uint64]int),
-		perNode:  make([]arena, nodes),
+		nodes:   nodes,
+		next:    PageSize, // keep address 0 invalid
+		pages:   []frame{{home: -1}},
+		frames:  make([]int32, nodes),
+		perNode: make([]arena, nodes),
 	}
 }
 
@@ -100,8 +116,7 @@ func (a *Allocator) alloc(size, node int) Addr {
 		base := a.next
 		pages := (size + PageSize - 1) / PageSize
 		for i := 0; i < pages; i++ {
-			a.placePage(a.next, node)
-			a.next += PageSize
+			a.placePage(node)
 		}
 		return base
 	}
@@ -112,10 +127,9 @@ func (a *Allocator) alloc(size, node int) Addr {
 	}
 	if ar.left < size {
 		// Start a new page for this domain.
-		a.placePage(a.next, node)
 		ar.cur = a.next
 		ar.left = PageSize
-		a.next += PageSize
+		a.placePage(node)
 	}
 	base := ar.cur
 	ar.cur += Addr(size)
@@ -123,30 +137,46 @@ func (a *Allocator) alloc(size, node int) Addr {
 	return base
 }
 
-func (a *Allocator) placePage(base Addr, node int) {
-	page := PageOf(base)
-	if node >= 0 {
-		a.pageHome[page] = node
-		return
+// placePage homes the next fresh page on node (round-robin when node < 0)
+// and advances next past it.
+func (a *Allocator) placePage(node int) {
+	if node < 0 {
+		node = a.rrNode
+		a.rrNode = (a.rrNode + 1) % a.nodes
 	}
-	a.pageHome[page] = a.rrNode
-	a.rrNode = (a.rrNode + 1) % a.nodes
+	a.pages = append(a.pages, frame{home: int32(node), num: a.frames[node]})
+	a.frames[node]++
+	a.next += PageSize
 }
 
 // Home returns the home node of the page containing addr. Referencing
-// unallocated memory panics: it always indicates an application bug.
+// unallocated memory (page 0, or any page past the last one allocated)
+// panics: it always indicates an application bug.
 func (a *Allocator) Home(addr Addr) int {
-	home, ok := a.pageHome[PageOf(addr)]
-	if !ok {
+	home, _ := a.Frame(addr)
+	return home
+}
+
+// Frame returns the home node of the page containing addr and the page's
+// frame number there: its ordinal among the pages homed on that node, in
+// address order, so a node's frames number 0, 1, 2, ... with no gaps.
+// Like Home, it panics on unallocated memory.
+func (a *Allocator) Frame(addr Addr) (home, num int) {
+	p := PageOf(addr)
+	if p >= uint64(len(a.pages)) {
+		p = 0 // the sentinel
+	}
+	f := a.pages[p]
+	if f.home < 0 {
 		panic(fmt.Sprintf("mem: reference to unallocated address %#x", uint64(addr)))
 	}
-	return home
+	return int(f.home), int(f.num)
 }
 
 // Allocated reports whether addr lies in allocated memory.
 func (a *Allocator) Allocated(addr Addr) bool {
-	_, ok := a.pageHome[PageOf(addr)]
-	return ok
+	p := PageOf(addr)
+	return p < uint64(len(a.pages)) && a.pages[p].home >= 0
 }
 
 // TotalBytes returns the total bytes of shared memory requested

@@ -69,6 +69,73 @@ func TestUnallocatedReferencePanics(t *testing.T) {
 	a.Home(Addr(1 << 40))
 }
 
+// mustPanic reports whether f panics.
+func mustPanic(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
+}
+
+// The page table's edges: page 0 (the sentinel), the first address past
+// the last allocated page, and far past it are all unallocated.
+func TestPageTableEdges(t *testing.T) {
+	a := NewAllocator(3)
+	a.Alloc(1)
+	a.AllocOnNode(2*PageSize, 2)
+	last := a.next - 1 // last byte of the last allocated page
+	if !a.Allocated(last) || a.Home(last) != 2 {
+		t.Fatalf("last allocated byte %#x: Allocated=%v", uint64(last), a.Allocated(last))
+	}
+	for _, addr := range []Addr{0, 1, PageSize - 1, a.next, a.next + PageSize - 1, a.next + 1<<30, 1 << 62} {
+		if a.Allocated(addr) {
+			t.Errorf("Allocated(%#x) = true", uint64(addr))
+		}
+		if !mustPanic(func() { a.Home(addr) }) {
+			t.Errorf("Home(%#x) did not panic", uint64(addr))
+		}
+		if !mustPanic(func() { a.Frame(addr) }) {
+			t.Errorf("Frame(%#x) did not panic", uint64(addr))
+		}
+	}
+}
+
+// Interleaved node-targeted and round-robin allocations: every page keeps
+// the home it was placed on, the round-robin cursor only advances for
+// round-robin pages, and each node's frames number 0, 1, 2, ... in
+// address order.
+func TestInterleavedPlacementAndFrames(t *testing.T) {
+	a := NewAllocator(3)
+	type placed struct {
+		addr Addr
+		home int
+	}
+	var pages []placed
+	pages = append(pages, placed{a.Alloc(PageSize), 0})
+	pages = append(pages, placed{a.AllocOnNode(PageSize, 2), 2})
+	pages = append(pages, placed{a.Alloc(PageSize), 1})
+	pages = append(pages, placed{a.AllocOnNode(100, 0), 0})
+	pages = append(pages, placed{a.Alloc(2 * PageSize), 2})
+	pages = append(pages, placed{pages[len(pages)-1].addr + PageSize, 0})
+	pages = append(pages, placed{a.AllocOnNode(100, 0), 0}) // packs into node 0's partial page
+	pages = append(pages, placed{a.Alloc(10), 1})
+	nextFrame := make([]int, 3)
+	seen := map[uint64]bool{}
+	for i, p := range pages {
+		home, num := a.Frame(p.addr)
+		if home != p.home || a.Home(p.addr) != p.home {
+			t.Errorf("page %d at %#x homed on %d, want %d", i, uint64(p.addr), home, p.home)
+		}
+		if seen[PageOf(p.addr)] {
+			continue
+		}
+		seen[PageOf(p.addr)] = true
+		if num != nextFrame[home] {
+			t.Errorf("page %d at %#x is frame %d on node %d, want %d", i, uint64(p.addr), num, home, nextFrame[home])
+		}
+		nextFrame[home]++
+	}
+}
+
 func TestAllocatedPredicate(t *testing.T) {
 	a := NewAllocator(2)
 	base := a.Alloc(100)
@@ -115,7 +182,7 @@ func TestAllocatorProperties(t *testing.T) {
 			end := base + rounded
 			if node >= 0 {
 				for p := PageOf(base); p <= PageOf(end-1); p++ {
-					if a.pageHome[p] != node {
+					if a.Home(Addr(p*PageSize)) != node {
 						return false
 					}
 				}

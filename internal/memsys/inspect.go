@@ -21,8 +21,8 @@ func (i inspector) HomeOf(l mem.Line) int {
 }
 
 func (i inspector) Dir(home int, l mem.Line) (check.DirState, dirset.View, int, bool) {
-	e, ok := i.nodes[home].dir[l]
-	if !ok {
+	e := i.nodes[home].lookup(l)
+	if e == nil {
 		return check.DirUncached, dirset.None, 0, false
 	}
 	s := check.DirUncached
@@ -46,12 +46,12 @@ func (i inspector) CacheState(node int, l mem.Line) check.CacheState {
 }
 
 func (i inspector) HasMSHR(node int, l mem.Line) bool {
-	_, ok := i.nodes[node].mshrs[l]
+	_, ok := i.nodes[node].mshrs.get(l)
 	return ok
 }
 
 func (i inspector) HasVictim(node int, l mem.Line) bool {
-	_, ok := i.nodes[node].victims[l]
+	_, ok := i.nodes[node].victims.get(l)
 	return ok
 }
 

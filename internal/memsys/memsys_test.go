@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -643,5 +644,69 @@ func TestProtocolDeterminism(t *testing.T) {
 	e2, t2 := run()
 	if e1 != e2 || t1 != t2 {
 		t.Errorf("nondeterministic: run1=(%d events, t=%d) run2=(%d events, t=%d)", e1, t1, e2, t2)
+	}
+}
+
+// TestPendingBatchServedBeforeLaterArrivals: requests that queue behind a
+// busy directory entry are re-submitted in arrival order when it clears,
+// and a read that reaches the home after that re-submission is served
+// after the whole batch, even when the batch's own forward makes the
+// entry busy again and the rest of the batch queues a second time in the
+// reused pending storage.
+func TestPendingBatchServedBeforeLaterArrivals(t *testing.T) {
+	r := newRig(8, nil)
+	a := r.alloc.AllocOnNode(mem.LineSize, 1)
+	l := mem.LineOf(a)
+	r.writeLatency(t, 2, a) // dirty at node 2
+	var served []int
+	done := func(i int) func() { return func() { served = append(served, i) } }
+	home := r.nodes[1]
+	// Node 0's read forwards to node 2 and marks the entry busy; a write
+	// from node 3 and reads from nodes 4 and 5 queue behind it in that
+	// order. Node 3's write is served first when the entry clears (it
+	// invalidates nodes 0 and 2), so node 4's read forwards to node 3 and
+	// the entry goes busy again with node 5 still queued.
+	r.nodes[0].Read(a, done(0))
+	r.k.AtTask(r.k.Now()+1, sim.Func(func() { r.nodes[3].AcquireOwnership(a, done(3)) }))
+	r.k.AtTask(r.k.Now()+2, sim.Func(func() { r.nodes[4].Read(a, done(4)) }))
+	r.k.AtTask(r.k.Now()+3, sim.Func(func() { r.nodes[5].Read(a, done(5)) }))
+	for e := home.lookup(l); e == nil || !e.busy || len(e.pending) < 3; e = home.lookup(l) {
+		if !r.k.Step() {
+			t.Fatal("the entry never queued three requests")
+		}
+	}
+	// Step to the event that clears the entry and re-submits the batch,
+	// then issue node 6's read.
+	for home.lookup(l).busy {
+		if !r.k.Step() {
+			t.Fatal("the entry never cleared")
+		}
+	}
+	r.nodes[6].Read(a, done(6))
+	requeued := false
+	for r.k.Step() {
+		if e := home.lookup(l); e.busy && len(e.pending) > 0 {
+			requeued = true
+		}
+	}
+	if !requeued {
+		t.Error("no request queued behind the second busy period")
+	}
+	// Node 0's read completes whenever its 3-hop reply lands; the others
+	// complete in the order the directory served them.
+	var batch []int
+	for _, i := range served {
+		if i != 0 {
+			batch = append(batch, i)
+		}
+	}
+	if want := []int{3, 4, 5, 6}; len(served) != 5 || fmt.Sprint(batch) != fmt.Sprint(want) {
+		t.Fatalf("served %v, want node 0 and then %v in order", served, want)
+	}
+	if e := home.lookup(l); e.busy || len(e.pending) != 0 {
+		t.Errorf("entry left busy=%v with %d pending", e.busy, len(e.pending))
+	}
+	if err := CheckInvariants(r.nodes); err != nil {
+		t.Errorf("invariants: %v", err)
 	}
 }

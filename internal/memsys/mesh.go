@@ -18,10 +18,12 @@ type Mesh struct {
 	k     *sim.Kernel
 	w, h  int
 	nodes int
-	hop   int                      // router + wire cycles per hop
-	occ   int                      // link occupancy per message (flits)
-	links map[[2]int]*sim.Resource // directed neighbor edges
-	rec   *obs.Recorder            // optional observability recorder (nil = off)
+	hop   int             // router + wire cycles per hop
+	occ   int             // link occupancy per message (flits)
+	links []*sim.Resource // directed neighbor edges, 4 per node (see slot)
+	rec   *obs.Recorder   // optional observability recorder (nil = off)
+
+	routes sim.Pool[meshRoute]
 }
 
 // SetObs installs an observability recorder on the mesh (nil disables).
@@ -35,11 +37,9 @@ func NewMesh(k *sim.Kernel, nodes, hop, occ int) *Mesh {
 		w++
 	}
 	h := (nodes + w - 1) / w
-	m := &Mesh{k: k, w: w, h: h, nodes: nodes, hop: hop, occ: occ, links: map[[2]int]*sim.Resource{}}
+	m := &Mesh{k: k, w: w, h: h, nodes: nodes, hop: hop, occ: occ, links: make([]*sim.Resource, 4*nodes)}
 	link := func(a, b int) {
-		if _, ok := m.links[[2]int{a, b}]; !ok {
-			m.links[[2]int{a, b}] = sim.NewResource(k, fmt.Sprintf("link%d-%d", a, b))
-		}
+		m.links[m.slot(a, b)] = sim.NewResource(k, fmt.Sprintf("link%d-%d", a, b))
 	}
 	for id := 0; id < nodes; id++ {
 		x, y := id%w, id/w
@@ -53,6 +53,23 @@ func NewMesh(k *sim.Kernel, nodes, hop, occ int) *Mesh {
 		}
 	}
 	return m
+}
+
+// slot indexes the directed edge from a to a neighbor b in links: a's four
+// edges lead to a+1, a-1, a+w and a-w, in that order. A non-neighbor b
+// maps to -1.
+func (m *Mesh) slot(a, b int) int {
+	switch b - a {
+	case 1:
+		return 4 * a
+	case -1:
+		return 4*a + 1
+	case m.w:
+		return 4*a + 2
+	case -m.w:
+		return 4*a + 3
+	}
+	return -1
 }
 
 // Hops returns the Manhattan distance between two nodes.
@@ -110,31 +127,60 @@ func (m *Mesh) Route(from, to int, sp *span.Span, done sim.Actor) {
 		m.k.AfterTask(2, done)
 		return
 	}
-	cur := from
-	var step func()
-	step = func() {
-		if cur == to {
-			done.Act()
-			return
-		}
-		next := m.nextHop(cur, to)
-		link, ok := m.links[[2]int{cur, next}]
-		if !ok {
-			panic(fmt.Sprintf("memsys: mesh has no link %d->%d", cur, next))
-		}
-		if m.rec != nil {
-			m.rec.MeshHop(cur, next)
-		}
-		c := sp.Child(span.KSegLink, cur)
-		link.AcquireTask(sim.Time(m.occ), sim.Func(func() {
-			m.k.AfterTask(sim.Time(m.hop), sim.Func(func() {
-				c.End()
-				cur = next
-				step()
-			}))
-		}))
+	r := m.routes.Get()
+	r.m, r.cur, r.to, r.span, r.done = m, from, to, sp, done
+	r.step()
+}
+
+// meshRoute is one message in flight on the mesh: an Actor that walks
+// itself link by link, holding each link for its occupancy and then
+// paying the hop latency.
+type meshRoute struct {
+	m        *Mesh
+	cur, to  int
+	next     int
+	span     *span.Span // the sending transaction's span
+	link     *span.Span // child span of the link being crossed
+	linkDone bool       // the link is held: pay the hop latency next
+	done     sim.Actor
+}
+
+// step starts the next hop from cur, or delivers at the destination.
+func (r *meshRoute) step() {
+	m := r.m
+	if r.cur == r.to {
+		done := r.done
+		r.done, r.span, r.link = nil, nil, nil
+		m.routes.Put(r)
+		done.Act()
+		return
 	}
-	step()
+	r.next = m.nextHop(r.cur, r.to)
+	var link *sim.Resource
+	if i := m.slot(r.cur, r.next); i >= 0 {
+		link = m.links[i]
+	}
+	if link == nil {
+		panic(fmt.Sprintf("memsys: mesh has no link %d->%d", r.cur, r.next))
+	}
+	if m.rec != nil {
+		m.rec.MeshHop(r.cur, r.next)
+	}
+	r.link = r.span.Child(span.KSegLink, r.cur)
+	r.linkDone = false
+	link.AcquireTask(sim.Time(m.occ), r)
+}
+
+// Act implements sim.Actor.
+func (r *meshRoute) Act() {
+	if !r.linkDone {
+		r.linkDone = true
+		r.m.k.AfterTask(sim.Time(r.m.hop), r)
+		return
+	}
+	r.link.End()
+	r.cur = r.next
+	r.step()
 }
 
 // AttachMesh switches the node's outbound messaging to the mesh.

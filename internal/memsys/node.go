@@ -40,8 +40,20 @@ type dirEntry struct {
 	// the line (miss records and writebacks at their directory stage)
 	// queue in pending and re-arbitrate for the controller when the
 	// owner's completion notice arrives (DASH's request-pending behaviour).
+	// dirUnbusy empties pending in place, so its storage is reused by the
+	// next batch.
 	busy    bool
 	pending []sim.Actor
+}
+
+// linesPerPage is the number of directory entries in one page.
+const linesPerPage = mem.PageSize / mem.LineSize
+
+// dirPage holds the directory entries of one page homed at a node,
+// indexed by line within the page. Entries are created on first touch.
+type dirPage struct {
+	base  mem.Line // the page's first line
+	lines [linesPerPage]*dirEntry
 }
 
 // mshrKind distinguishes what created an outstanding-miss register.
@@ -153,10 +165,14 @@ type Node struct {
 
 	prim *primaryCache
 	sec  *secondaryCache
-	dir  map[mem.Line]*dirEntry
+	// dir is this node's slice of the distributed directory, indexed by
+	// the frame number of each page homed here (mem.Allocator.Frame). A
+	// page's block is allocated when one of its lines is first touched,
+	// so storage follows the pages in use.
+	dir []*dirPage
 
-	mshrs   map[mem.Line]*mshr
-	victims map[mem.Line]*victimEntry
+	mshrs   lineTable[mshr]
+	victims lineTable[victimEntry]
 
 	bus   *sim.Resource
 	memc  *sim.Resource // memory + directory controller
@@ -193,26 +209,25 @@ type Node struct {
 	uncachedPool sim.Pool[uncachedOp]
 	invals       sim.Pool[invalMsg]
 	victimPool   sim.Pool[victimEntry]
+	fwds         sim.Pool[fwdMsg]
+	retries      sim.Pool[retryOp]
 }
 
 // NewNode constructs node id. Call Connect with the full node slice before
 // simulating.
 func NewNode(k *sim.Kernel, id int, cfg *config.Config, alloc *mem.Allocator, st *stats.Proc) *Node {
 	n := &Node{
-		id:      id,
-		k:       k,
-		cfg:     cfg,
-		alloc:   alloc,
-		st:      st,
-		prim:    newPrimaryCache(cfg.PrimaryBytes),
-		sec:     newSecondaryCache(cfg.SecondaryBytes, max(1, cfg.SecondaryWays)),
-		dir:     make(map[mem.Line]*dirEntry),
-		mshrs:   make(map[mem.Line]*mshr),
-		victims: make(map[mem.Line]*victimEntry),
-		bus:     sim.NewResource(k, fmt.Sprintf("bus%d", id)),
-		memc:    sim.NewResource(k, fmt.Sprintf("mem%d", id)),
-		niIn:    sim.NewResource(k, fmt.Sprintf("niIn%d", id)),
-		niOut:   sim.NewResource(k, fmt.Sprintf("niOut%d", id)),
+		id:    id,
+		k:     k,
+		cfg:   cfg,
+		alloc: alloc,
+		st:    st,
+		prim:  newPrimaryCache(cfg.PrimaryBytes),
+		sec:   newSecondaryCache(cfg.SecondaryBytes, max(1, cfg.SecondaryWays)),
+		bus:   sim.NewResource(k, fmt.Sprintf("bus%d", id)),
+		memc:  sim.NewResource(k, fmt.Sprintf("mem%d", id)),
+		niIn:  sim.NewResource(k, fmt.Sprintf("niIn%d", id)),
+		niOut: sim.NewResource(k, fmt.Sprintf("niOut%d", id)),
 	}
 	n.wb = newWriteBuffer(n)
 	n.pf = newPrefetchBuffer(n)
@@ -273,12 +288,32 @@ func (n *Node) IsLocal(a mem.Addr) bool { return n.alloc.Home(a) == n.id }
 // entry returns (creating if needed) the directory entry for a line homed
 // at this node.
 func (n *Node) entry(l mem.Line) *dirEntry {
-	e, ok := n.dir[l]
-	if !ok {
+	_, f := n.alloc.Frame(mem.AddrOf(l))
+	if f >= len(n.dir) {
+		n.dir = append(n.dir, make([]*dirPage, f+1-len(n.dir))...)
+	}
+	i := l % linesPerPage
+	p := n.dir[f]
+	if p == nil {
+		p = &dirPage{base: l - i}
+		n.dir[f] = p
+	}
+	e := p.lines[i]
+	if e == nil {
 		e = &dirEntry{state: DirUncached, sharers: n.newSharerSet()}
-		n.dir[l] = e
+		p.lines[i] = e
 	}
 	return e
+}
+
+// lookup returns the directory entry for line l if this node is its home
+// and the line has one, nil otherwise. It creates nothing.
+func (n *Node) lookup(l mem.Line) *dirEntry {
+	home, f := n.alloc.Frame(mem.AddrOf(l))
+	if home != n.id || f >= len(n.dir) || n.dir[f] == nil {
+		return nil
+	}
+	return n.dir[f].lines[l%linesPerPage]
 }
 
 // newSharerSet builds an empty sharer set in the configured organization
@@ -287,23 +322,67 @@ func (n *Node) newSharerSet() dirset.Set {
 	return dirset.New(n.cfg.DirOrg, len(n.nodes), n.cfg.DirPointers, n.cfg.DirCoarseness)
 }
 
-// netMsg is one in-flight protocol message on the direct network: an Actor
-// that walks itself through NI-out occupancy, wire latency and NI-in
-// occupancy, then runs its delivery completion.
+// lineTable maps the lines a node has in flight to their transaction
+// records. A node has a handful at most (bounded by its contexts and its
+// write and prefetch buffers), so a scan of a short slice replaces a hash
+// lookup. Order carries no meaning: del moves the last record into the
+// hole.
+type lineTable[T any] struct {
+	recs []lineRec[T]
+}
+
+type lineRec[T any] struct {
+	line mem.Line
+	rec  *T
+}
+
+// get returns the record for line l, if any.
+func (t *lineTable[T]) get(l mem.Line) (*T, bool) {
+	for i := range t.recs {
+		if t.recs[i].line == l {
+			return t.recs[i].rec, true
+		}
+	}
+	return nil, false
+}
+
+// add records r for line l, which must have no record yet.
+func (t *lineTable[T]) add(l mem.Line, r *T) { t.recs = append(t.recs, lineRec[T]{l, r}) }
+
+// del removes line l's record, if any.
+func (t *lineTable[T]) del(l mem.Line) {
+	for i := range t.recs {
+		if t.recs[i].line == l {
+			last := len(t.recs) - 1
+			t.recs[i] = t.recs[last]
+			t.recs[last] = lineRec[T]{}
+			t.recs = t.recs[:last]
+			return
+		}
+	}
+}
+
+func (t *lineTable[T]) len() int { return len(t.recs) }
+
+// netMsg is one in-flight protocol message: an Actor that walks itself
+// through NI-out occupancy, the network (the direct network's wire
+// latency, or the mesh route) and NI-in occupancy, then runs its delivery
+// completion.
 type netMsg struct {
 	n     *Node // sender
 	to    *Node
 	wire  int
 	stage msgStage
 	done  sim.Actor
+	span  *span.Span // the sending transaction's span (mesh link children)
 }
 
 // msgStage is the message's next step when its event fires.
 type msgStage uint8
 
 const (
-	msgPostOut  msgStage = iota // NI-out granted: traverse the wire
-	msgPostWire                 // wire traversed: queue at receiver's NI-in
+	msgPostOut  msgStage = iota // NI-out granted: cross the network
+	msgPostWire                 // network crossed: queue at receiver's NI-in
 	msgDeliver                  // NI-in granted: deliver
 )
 
@@ -312,6 +391,12 @@ func (m *netMsg) Act() {
 	switch m.stage {
 	case msgPostOut:
 		m.stage = msgPostWire
+		sp := m.span
+		m.span = nil
+		if mesh := m.n.mesh; mesh != nil {
+			mesh.Route(m.n.id, m.to.id, sp, m)
+			return
+		}
 		m.n.k.AfterTask(sim.Time(m.wire), m)
 	case msgPostWire:
 		m.stage = msgDeliver
@@ -334,16 +419,8 @@ func (n *Node) send(to *Node, wire int, done sim.Actor, sp *span.Span) {
 		n.k.AfterTask(2, done)
 		return
 	}
-	if n.mesh != nil {
-		n.niOut.AcquireTask(sim.Time(n.lat().NIHold), sim.Func(func() {
-			n.mesh.Route(n.id, to.id, sp, sim.Func(func() {
-				to.niIn.AcquireTask(sim.Time(n.lat().NIHold), done)
-			}))
-		}))
-		return
-	}
 	m := n.msgs.Get()
-	m.n, m.to, m.wire, m.done = n, to, wire, done
+	m.n, m.to, m.wire, m.done, m.span = n, to, wire, done, sp
 	m.stage = msgPostOut
 	n.niOut.AcquireTask(sim.Time(n.lat().NIHold), m)
 }
@@ -417,11 +494,15 @@ func (n *Node) ackArrived() {
 	}
 	n.pendingAcks--
 	if n.pendingAcks == 0 {
-		ws := n.ackWaiters
-		n.ackWaiters = nil
-		for _, w := range ws {
+		// Acks are only added by a directory event, so the count stays
+		// zero while the waiters run and onAllAcked runs any they
+		// register at once: nothing joins the list while it is walked,
+		// and it keeps its storage.
+		for i, w := range n.ackWaiters {
+			n.ackWaiters[i] = nil
 			w.Act()
 		}
+		n.ackWaiters = n.ackWaiters[:0]
 	}
 }
 
@@ -432,11 +513,11 @@ func (n *Node) ackArrived() {
 // the first violation.
 func CheckInvariants(nodes []*Node) error {
 	for _, node := range nodes {
-		if len(node.mshrs) != 0 {
-			return fmt.Errorf("node %d has %d in-flight MSHRs at quiescence", node.id, len(node.mshrs))
+		if node.mshrs.len() != 0 {
+			return fmt.Errorf("node %d has %d in-flight MSHRs at quiescence", node.id, node.mshrs.len())
 		}
-		if len(node.victims) != 0 {
-			return fmt.Errorf("node %d has %d unacknowledged writebacks at quiescence", node.id, len(node.victims))
+		if node.victims.len() != 0 {
+			return fmt.Errorf("node %d has %d unacknowledged writebacks at quiescence", node.id, node.victims.len())
 		}
 		if node.pendingAcks != 0 {
 			return fmt.Errorf("node %d has %d pending acks at quiescence", node.id, node.pendingAcks)
@@ -449,8 +530,8 @@ func CheckInvariants(nodes []*Node) error {
 				return
 			}
 			home := nodes[node.alloc.Home(mem.AddrOf(l))]
-			e, ok := home.dir[l]
-			if !ok {
+			e := home.lookup(l)
+			if e == nil {
 				err = fmt.Errorf("node %d caches line %#x with no directory entry", node.id, l)
 				return
 			}
@@ -478,18 +559,19 @@ func CheckInvariants(nodes []*Node) error {
 		}
 	}
 	// Dirty directory entries must have exactly one Dirty cached copy.
-	// Sort the lines so the first violation reported is deterministic
-	// (map order would otherwise pick an arbitrary one).
+	// Frames and the lines within a page both run in address order, so the
+	// scan visits each home's lines in ascending order and the first
+	// violation reported is deterministic.
 	for _, home := range nodes {
-		lines := make([]mem.Line, 0, len(home.dir))
-		//simdet:unordered — collecting keys for sorting below
-		for l := range home.dir {
-			lines = append(lines, l)
-		}
-		sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-		for _, l := range lines {
-			e := home.dir[l]
-			if e.state == DirDirty {
+		for _, p := range home.dir {
+			if p == nil {
+				continue
+			}
+			for i, e := range p.lines {
+				if e == nil || e.state != DirDirty {
+					continue
+				}
+				l := p.base + mem.Line(i)
 				owner := nodes[e.owner]
 				if owner.sec.State(l) != Dirty {
 					return fmt.Errorf("directory at node %d says line %#x dirty at node %d, but that cache has state %v",

@@ -163,6 +163,35 @@ func (s *secFill) Act() {
 	}
 }
 
+// retryOp re-issues a demand access that found its line busy at this
+// node (leaving in the writeback buffer, or with a fill in flight) once
+// the line clears.
+type retryOp struct {
+	n     *Node
+	a     mem.Addr
+	write bool
+	done  sim.Actor
+}
+
+// retry returns a pooled actor that re-issues the access later.
+func (n *Node) retry(a mem.Addr, write bool, done sim.Actor) *retryOp {
+	r := n.retries.Get()
+	r.n, r.a, r.write, r.done = n, a, write, done
+	return r
+}
+
+// Act implements sim.Actor.
+func (r *retryOp) Act() {
+	n, a, write, done := r.n, r.a, r.write, r.done
+	r.done = nil
+	n.retries.Put(r)
+	if write {
+		n.AcquireOwnershipTask(a, done)
+	} else {
+		n.ReadTask(a, done)
+	}
+}
+
 // Read is ReadTask with a closure completion.
 func (n *Node) Read(a mem.Addr, done func()) { n.ReadTask(a, sim.Func(done)) }
 
@@ -193,13 +222,13 @@ func (n *Node) ReadTask(a mem.Addr, done sim.Actor) {
 		n.k.AfterTask(sim.Time(n.lat().SecLookup), s)
 		return
 	}
-	if v, ok := n.victims[l]; ok {
+	if v, ok := n.victims.get(l); ok {
 		// The line is in the writeback buffer on its way out; wait for
 		// the home to acknowledge, then retry.
-		v.waiters = append(v.waiters, sim.Func(func() { n.ReadTask(a, done) }))
+		v.waiters = append(v.waiters, n.retry(a, false, done))
 		return
 	}
-	if m, ok := n.mshrs[l]; ok {
+	if m, ok := n.mshrs.get(l); ok {
 		if m.kind == mshrPrefetch || m.kind == mshrPrefetchExcl {
 			n.st.PrefetchLate++
 		}
@@ -209,7 +238,7 @@ func (n *Node) ReadTask(a mem.Addr, done sim.Actor) {
 	n.st.ReadMisses++
 	m := n.newMSHR(a, mshrRead, false)
 	m.waiters = append(m.waiters, done)
-	n.mshrs[l] = m
+	n.mshrs.add(l, m)
 	m.stage = msIssue
 	n.k.AfterTask(sim.Time(n.lat().SecLookup), m)
 }
@@ -237,24 +266,24 @@ func (n *Node) AcquireOwnershipTask(a mem.Addr, done sim.Actor) {
 		n.k.AfterTask(sim.Time(n.lat().SecCheckWrite), done)
 		return
 	}
-	if v, ok := n.victims[l]; ok {
-		v.waiters = append(v.waiters, sim.Func(func() { n.AcquireOwnershipTask(a, done) }))
+	if v, ok := n.victims.get(l); ok {
+		v.waiters = append(v.waiters, n.retry(a, true, done))
 		return
 	}
-	if m, ok := n.mshrs[l]; ok {
+	if m, ok := n.mshrs.get(l); ok {
 		if m.kind == mshrPrefetch || m.kind == mshrPrefetchExcl {
 			n.st.PrefetchLate++
 		}
 		// Wait for the in-flight fill, then reclassify: the fill may
 		// deliver ownership (write/pf-exclusive) or only a shared copy
 		// (then this becomes an upgrade).
-		m.waiters = append(m.waiters, sim.Func(func() { n.AcquireOwnershipTask(a, done) }))
+		m.waiters = append(m.waiters, n.retry(a, true, done))
 		return
 	}
 	n.st.WriteMisses++
 	m := n.newMSHR(a, mshrWrite, true)
 	m.waiters = append(m.waiters, done)
-	n.mshrs[l] = m
+	n.mshrs.add(l, m)
 	m.stage = msIssue
 	n.k.AfterTask(sim.Time(n.lat().SecCheckWrite), m)
 }
@@ -309,9 +338,7 @@ func (h *Node) dirRead(a mem.Addr, req *Node, m *mshr) {
 		if h.rec != nil {
 			h.rec.DirTxn(obs.DirForward)
 		}
-		m.span.Seg(span.KSegNet, h.id)
-		h.send(owner, h.lat().WireForward,
-			sim.Func(func() { owner.serveForward(l, req, m, false) }), m.span)
+		h.forward(owner, m, false)
 	}
 }
 
@@ -335,16 +362,16 @@ func (h *Node) dirWrite(a mem.Addr, req *Node, m *mshr) {
 		h.replyFill(req, m)
 	case DirShared:
 		// Invalidate every represented sharer except the requester; acks
-		// flow directly to the requester (DASH style). ForEach yields
+		// flow directly to the requester (DASH style). Next walks
 		// ascending node ids, preserving the event order of the old
 		// ascending bitmask scan. For an imprecise organization (an
 		// overflowed limited-pointer entry broadcasts machine-wide, a
 		// coarse-vector group fans out to every member) some targets hold
 		// no copy; those invalidations are spurious and ack harmlessly.
 		count := 0
-		e.sharers.ForEach(func(id int) {
+		for id := e.sharers.Next(-1); id >= 0; id = e.sharers.Next(id) {
 			if id == req.id {
-				return
+				continue
 			}
 			count++
 			h.st.InvalsSent++
@@ -360,7 +387,7 @@ func (h *Node) dirWrite(a mem.Addr, req *Node, m *mshr) {
 			im.stage = invArrive
 			im.span = m.span.Child(span.KSegInval, id)
 			h.send(sharer, h.lat().Wire, im, im.span)
-		})
+		}
 		e.state = DirDirty
 		e.owner = req.id
 		e.sharers.Clear()
@@ -378,9 +405,7 @@ func (h *Node) dirWrite(a mem.Addr, req *Node, m *mshr) {
 		if h.rec != nil {
 			h.rec.DirTxn(obs.DirForward)
 		}
-		m.span.Seg(span.KSegNet, h.id)
-		h.send(owner, h.lat().WireForward,
-			sim.Func(func() { owner.serveForward(l, req, m, true) }), m.span)
+		h.forward(owner, m, true)
 	}
 }
 
@@ -396,55 +421,105 @@ func (h *Node) replyFill(req *Node, m *mshr) {
 	h.send(req, h.lat().Wire, m, m.span)
 }
 
-// serveForward handles a request forwarded to this node as the recorded
-// owner of line l. For reads the owner downgrades to Shared; for writes it
-// relinquishes the line. Either way it replies directly to the requester
-// and sends a completion (sharing writeback / transfer notice) to the home
-// to clear the directory busy state.
-func (o *Node) serveForward(l mem.Line, req *Node, m *mshr, write bool) {
-	if om, ok := o.mshrs[l]; ok {
-		// Our own fill for the line is still in flight; the forward
-		// waits for it, exactly as a lockup-free cache queues external
-		// requests against an MSHR.
-		om.queuedMsgs = append(om.queuedMsgs, sim.Func(func() { o.serveForward(l, req, m, write) }))
-		return
-	}
-	m.span.Seg(span.KSegOwner, o.id)
-	lat := o.lat()
-	o.bus.AcquireTask(sim.Time(lat.BusHold), sim.Func(func() {
-		o.k.AfterTask(sim.Time(lat.OwnerAccess), sim.Func(func() {
-			// Re-examine state at apply time: the line may have been
-			// evicted (moved to the writeback/victim buffer) while the
-			// forward waited for the bus.
-			if _, inVictim := o.victims[l]; inVictim {
-				// Serve the data from the victim buffer; the local copy
-				// is already gone.
-			} else if o.sec.State(l) == Dirty {
-				if write {
-					o.sec.Invalidate(l)
-					o.prim.Invalidate(l)
-				} else {
-					o.sec.SetState(l, Shared)
-				}
+// fwdMsg is a request the home forwards to the line's dirty owner (the
+// 3-hop transfer). It carries the forward to the owner, the owner's
+// bus and cache access, and the completion notice back to the home that
+// clears the entry's busy state. The requester's mshr travels along and
+// continues with the owner's reply.
+type fwdMsg struct {
+	home  *Node // the forwarding home; owns the record's pool
+	owner *Node
+	m     *mshr // the requester's miss
+	line  mem.Line
+	write bool
+	stage fwdStage
+}
+
+// fwdStage is the forward's next step when its event fires.
+type fwdStage uint8
+
+const (
+	fwdArrive fwdStage = iota // delivered at the owner (or its fill completed)
+	fwdBus                    // owner's bus granted: access the cache
+	fwdApply                  // owner access done: reply, notify the home
+	fwdAtHome                 // completion notice delivered at the home
+	fwdUnbusy                 // home controller granted: clear busy
+)
+
+// forward sends a request for a line the directory records as dirty at
+// owner on to that owner. The entry is already marked busy.
+func (h *Node) forward(owner *Node, m *mshr, write bool) {
+	f := h.fwds.Get()
+	f.home, f.owner, f.m = h, owner, m
+	f.line, f.write = m.line, write
+	f.stage = fwdArrive
+	m.span.Seg(span.KSegNet, h.id)
+	h.send(owner, h.lat().WireForward, f, m.span)
+}
+
+// Act implements sim.Actor. At the owner, a read forward downgrades the
+// line to Shared and a write forward relinquishes it; either way the
+// owner replies directly to the requester and sends a completion
+// (sharing writeback / transfer notice) to the home to clear the
+// directory busy state.
+func (f *fwdMsg) Act() {
+	o, l, lat := f.owner, f.line, f.owner.lat()
+	switch f.stage {
+	case fwdArrive:
+		if om, ok := o.mshrs.get(l); ok {
+			// Our own fill for the line is still in flight; the forward
+			// waits for it, exactly as a lockup-free cache queues
+			// external requests against an MSHR.
+			om.queuedMsgs = append(om.queuedMsgs, f)
+			return
+		}
+		f.m.span.Seg(span.KSegOwner, o.id)
+		f.stage = fwdBus
+		o.bus.AcquireTask(sim.Time(lat.BusHold), f)
+	case fwdBus:
+		f.stage = fwdApply
+		o.k.AfterTask(sim.Time(lat.OwnerAccess), f)
+	case fwdApply:
+		// Re-examine state at apply time: the line may have been evicted
+		// (moved to the writeback/victim buffer) while the forward waited
+		// for the bus.
+		if _, inVictim := o.victims.get(l); inVictim {
+			// Serve the data from the victim buffer; the local copy is
+			// already gone.
+		} else if o.sec.State(l) == Dirty {
+			if f.write {
+				o.sec.Invalidate(l)
+				o.prim.Invalidate(l)
 			} else {
-				panic(fmt.Sprintf("memsys: forward for line %#x reached node %d which is not owner (state %v)", l, o.id, o.sec.State(l)))
+				o.sec.SetState(l, Shared)
 			}
-			m.stage = msFill
-			m.span.Seg(span.KSegReply, o.id)
-			o.send(req, lat.Wire, m, m.span)
-			// Completion to home: carries the sharing writeback (read)
-			// or the ownership-transfer notice (write) and unblocks the
-			// directory entry.
-			home := o.home(mem.AddrOf(l))
-			o.send(home, lat.Wire, sim.Func(func() {
-				home.memc.AcquireTask(sim.Time(lat.MemHold), sim.Func(func() { home.dirUnbusy(l) }))
-			}), nil)
-		}))
-	}))
+		} else {
+			panic(fmt.Sprintf("memsys: forward for line %#x reached node %d which is not owner (state %v)", l, o.id, o.sec.State(l)))
+		}
+		m := f.m
+		f.m = nil
+		m.stage = msFill
+		m.span.Seg(span.KSegReply, o.id)
+		o.send(m.n, lat.Wire, m, m.span)
+		// Completion to home: carries the sharing writeback (read) or
+		// the ownership-transfer notice (write) and unblocks the entry.
+		f.stage = fwdAtHome
+		o.send(f.home, lat.Wire, f, nil)
+	case fwdAtHome:
+		f.stage = fwdUnbusy
+		f.home.memc.AcquireTask(sim.Time(lat.MemHold), f)
+	case fwdUnbusy:
+		h := f.home
+		f.home, f.owner = nil, nil
+		h.fwds.Put(f)
+		h.dirUnbusy(l)
+	}
 }
 
 // dirUnbusy clears the busy bit and sends the deferred requests back to
-// the memory/directory controller in arrival order.
+// the memory/directory controller in arrival order. AcquireTask only
+// schedules, so nothing joins the queue while it is walked, and the
+// emptied queue keeps its storage for the next batch.
 func (h *Node) dirUnbusy(l mem.Line) {
 	e := h.entry(l)
 	if !e.busy {
@@ -452,11 +527,11 @@ func (h *Node) dirUnbusy(l mem.Line) {
 	}
 	e.busy = false
 	h.dirEvent(l)
-	pend := e.pending
-	e.pending = nil
-	for _, a := range pend {
+	for i, a := range e.pending {
 		h.memc.AcquireTask(sim.Time(h.lat().MemHold), a)
+		e.pending[i] = nil
 	}
+	e.pending = e.pending[:0]
 }
 
 // dirEvent notifies the invariant checker that a directory transaction
@@ -528,7 +603,7 @@ func (im *invalMsg) Act() {
 		// — the precision-loss tax the directory-scaling experiment
 		// measures.
 		spurious := st == Invalid
-		if m, ok := n.mshrs[l]; ok && !m.excl {
+		if m, ok := n.mshrs.get(l); ok && !m.excl {
 			// A shared-copy fill is in flight; it will install and be
 			// invalidated immediately, still satisfying its waiters.
 			m.invalidated = true
@@ -621,7 +696,7 @@ func (n *Node) completeFill(m *mshr) {
 	// Free-list discipline: unlink the record, run the callback lists by
 	// index (they may start new transactions, which draw fresh records —
 	// this one is not recycled until they are done), then clear and free.
-	delete(n.mshrs, l)
+	n.mshrs.del(l)
 	for i := 0; i < len(m.waiters); i++ {
 		if w := m.waiters[i]; w != nil {
 			w.Act()
@@ -641,12 +716,12 @@ func (n *Node) completeFill(m *mshr) {
 // untraced); the writeback traces as its child so the waterfall can keep
 // background writeback traffic out of the stall attribution.
 func (n *Node) startWriteback(l mem.Line, parent *span.Span) {
-	if _, ok := n.victims[l]; ok {
+	if _, ok := n.victims.get(l); ok {
 		panic(fmt.Sprintf("memsys: duplicate writeback for line %#x", l))
 	}
 	v := n.victimPool.Get()
 	v.n, v.line = n, l
-	n.victims[l] = v
+	n.victims.add(l, v)
 	v.stage = vbToHome
 	v.span = parent.Child(span.KTxnWriteback, n.id)
 	v.span.Seg(span.KSegBus, n.id)
@@ -687,10 +762,10 @@ func (h *Node) dirWriteback(v *victimEntry) {
 // were waiting for the line to finish leaving.
 func (n *Node) writebackAcked(v *victimEntry) {
 	l := v.line
-	if n.victims[l] != v {
+	if got, _ := n.victims.get(l); got != v {
 		panic(fmt.Sprintf("memsys: writeback ack for unknown line %#x", l))
 	}
-	delete(n.victims, l)
+	n.victims.del(l)
 	v.span.End()
 	v.span = nil
 	for i := 0; i < len(v.waiters); i++ {

@@ -232,9 +232,7 @@ func (w *writeBuffer) retire(e *wbEntry) {
 	e.span = nil
 	w.pool.Put(e)
 	if len(w.spaceWaiters) > 0 {
-		sw := w.spaceWaiters[0]
-		w.spaceWaiters = w.spaceWaiters[1:]
-		sw.Act()
+		popFront(&w.spaceWaiters).Act()
 	}
 	if len(w.entries) == 0 && w.inflight == 0 && len(w.drainWaiters) > 0 {
 		ws := w.drainWaiters
@@ -323,12 +321,9 @@ func (p *prefetchBuffer) step() {
 		p.draining = false
 		return
 	}
-	p.cur = p.queue[0]
-	p.queue = p.queue[1:]
+	p.cur = popFront(&p.queue)
 	if len(p.spaceWaiters) > 0 {
-		sw := p.spaceWaiters[0]
-		p.spaceWaiters = p.spaceWaiters[1:]
-		sw.Act()
+		popFront(&p.spaceWaiters).Act()
 	}
 	p.stage = pfCheck
 	p.n.k.AfterTask(sim.Time(p.n.lat().SecCheckWrite), p)
@@ -341,8 +336,8 @@ func (p *prefetchBuffer) process() {
 	e := p.cur
 	l := mem.LineOf(e.addr)
 	st := n.sec.State(l)
-	_, inFlight := n.mshrs[l]
-	_, leaving := n.victims[l]
+	_, inFlight := n.mshrs.get(l)
+	_, leaving := n.victims.get(l)
 	useless := inFlight || leaving || st == Dirty || (st == Shared && !e.excl)
 	if useless {
 		n.st.PrefetchUseless++
@@ -352,9 +347,24 @@ func (p *prefetchBuffer) process() {
 			kind = mshrPrefetchExcl
 		}
 		m := n.newMSHR(e.addr, kind, e.excl)
-		n.mshrs[l] = m
+		n.mshrs.add(l, m)
 		m.issue()
 	}
 	p.stage = pfPop
 	p.step()
+}
+
+// popFront removes and returns the first element of a non-empty queue,
+// shifting the rest down so the queue keeps its storage (re-slicing past
+// the head would hand later appends a shrinking capacity, and they would
+// reallocate). The buffers' queues are bounded by their configured depth
+// and by the contexts waiting for a slot, so the shift is short.
+func popFront[T any](q *[]T) T {
+	s := *q
+	x := s[0]
+	copy(s, s[1:])
+	var zero T
+	s[len(s)-1] = zero
+	*q = s[:len(s)-1]
+	return x
 }

@@ -28,10 +28,14 @@ type waiter struct {
 
 // Lock is a simulated spin lock.
 type Lock struct {
-	addr    mem.Addr
-	held    bool
-	holder  int
+	addr   mem.Addr
+	held   bool
+	holder int
+	// waiters[head:] are the queued acquirers in arrival order. A handoff
+	// advances head; the live tail moves back to the front once the dead
+	// prefix outgrows it, so the queue reuses its storage.
 	waiters []waiter
+	head    int
 }
 
 // NewLock creates a lock whose state lives at addr (one allocated line).
@@ -79,6 +83,11 @@ func (l *Lock) Acquire(n *memsys.Node, granted sim.Actor) {
 		return
 	}
 	refetch(n, l.addr)
+	if l.head > 0 && l.head >= len(l.waiters)-l.head {
+		live := copy(l.waiters, l.waiters[l.head:])
+		clear(l.waiters[live:])
+		l.waiters, l.head = l.waiters[:live], 0
+	}
 	l.waiters = append(l.waiters, waiter{n: n, granted: granted})
 }
 
@@ -90,19 +99,20 @@ func (l *Lock) ReleaseRetired() {
 	if !l.held {
 		panic("msync: release of a lock that is not held")
 	}
-	if len(l.waiters) == 0 {
+	if l.head == len(l.waiters) {
 		l.held = false
 		l.holder = -1
+		l.waiters, l.head = l.waiters[:0], 0
 		return
 	}
-	next := l.waiters[0]
-	rest := l.waiters[1:]
-	l.waiters = append([]waiter(nil), rest...)
+	next := l.waiters[l.head]
+	l.waiters[l.head] = waiter{}
+	l.head++
 	l.holder = next.n.ID()
 	next.n.BeginSyncSpans()
 	next.n.AcquireOwnershipTask(l.addr, next.granted)
 	next.n.EndSyncSpans()
-	for _, o := range l.waiters {
+	for _, o := range l.waiters[l.head:] {
 		o.n.BeginSyncSpans()
 		refetch(o.n, l.addr)
 		o.n.EndSyncSpans()
@@ -110,7 +120,7 @@ func (l *Lock) ReleaseRetired() {
 }
 
 // Waiters returns the number of queued acquirers (for tests/diagnostics).
-func (l *Lock) Waiters() int { return len(l.waiters) }
+func (l *Lock) Waiters() int { return len(l.waiters) - l.head }
 
 // Barrier is a simulated global barrier. Arrival is an atomic increment of
 // a counter line (a serializing hot spot through its home node); waiting
@@ -121,6 +131,49 @@ type Barrier struct {
 	total       int
 	arrived     int
 	waiters     []waiter
+
+	rel      barrierRelease
+	arrivals sim.Pool[arrival]
+}
+
+// arrival carries one Arrive's counter increment to ArriveRetired.
+type arrival struct {
+	b        *Barrier
+	n        *memsys.Node
+	released sim.Actor
+}
+
+// Act implements sim.Actor: the counter increment has retired.
+func (a *arrival) Act() {
+	b, n, released := a.b, a.n, a.released
+	a.n, a.released = nil, nil
+	b.arrivals.Put(a)
+	b.ArriveRetired(n, released)
+}
+
+// barrierRelease runs when the last arrival's flag write has acquired
+// ownership: every spinner refetches the flag and proceeds, then the last
+// arrival does. The spinners move here from the barrier's waiters, and
+// the two lists swap storage each episode, so neither is reallocated.
+type barrierRelease struct {
+	b        *Barrier
+	waiters  []waiter
+	released sim.Actor
+}
+
+// Act implements sim.Actor.
+func (r *barrierRelease) Act() {
+	flag := r.b.flagAddr
+	for i, w := range r.waiters {
+		r.waiters[i] = waiter{}
+		w.n.BeginSyncSpans()
+		refetchThen(w.n, flag, w.granted)
+		w.n.EndSyncSpans()
+	}
+	r.waiters = r.waiters[:0]
+	released := r.released
+	r.released = nil
+	released.Act()
 }
 
 // NewBarrier creates a barrier for total participants. counterAddr and
@@ -132,7 +185,9 @@ func NewBarrier(counterAddr, flagAddr mem.Addr, total int) *Barrier {
 	if mem.LineOf(counterAddr) == mem.LineOf(flagAddr) {
 		panic("msync: barrier counter and flag must be on distinct lines")
 	}
-	return &Barrier{counterAddr: counterAddr, flagAddr: flagAddr, total: total}
+	b := &Barrier{counterAddr: counterAddr, flagAddr: flagAddr, total: total}
+	b.rel.b = b
+	return b
 }
 
 // CounterAddr returns the barrier's arrival-counter line address (the
@@ -148,9 +203,9 @@ func (b *Barrier) Total() int { return b.total }
 func (b *Barrier) Arrive(n *memsys.Node, released sim.Actor) {
 	n.BeginSyncSpans()
 	defer n.EndSyncSpans()
-	n.AcquireOwnershipTask(b.counterAddr, sim.Func(func() {
-		b.ArriveRetired(n, released)
-	}))
+	a := b.arrivals.Get()
+	a.b, a.n, a.released = b, n, released
+	n.AcquireOwnershipTask(b.counterAddr, a)
 }
 
 // ArriveRetired records an arrival whose counter increment has already
@@ -167,17 +222,13 @@ func (b *Barrier) ArriveRetired(n *memsys.Node, released sim.Actor) {
 	}
 	// Last arrival: write the flag, invalidating every spinner, then
 	// each spinner refetches it and proceeds.
+	if b.rel.released != nil {
+		panic("msync: barrier completed again before its previous release ran")
+	}
 	b.arrived = 0
-	ws := b.waiters
-	b.waiters = nil
-	n.AcquireOwnershipTask(b.flagAddr, sim.Func(func() {
-		for _, w := range ws {
-			w.n.BeginSyncSpans()
-			refetchThen(w.n, b.flagAddr, w.granted)
-			w.n.EndSyncSpans()
-		}
-		released.Act()
-	}))
+	b.waiters, b.rel.waiters = b.rel.waiters, b.waiters
+	b.rel.released = released
+	n.AcquireOwnershipTask(b.flagAddr, &b.rel)
 }
 
 // Arrived returns the number of processes currently waiting at the

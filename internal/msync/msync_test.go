@@ -209,3 +209,136 @@ func TestLockWaitersCount(t *testing.T) {
 		t.Errorf("waiters = %d, want 2", lk.Waiters())
 	}
 }
+
+// TestLockFIFOManyWaitersAndLateArrivals checks the lock against a model
+// FIFO queue with many waiters: every holder releases and at once
+// acquires again, so its new Acquire arrives while the handoff it just
+// started is in flight. Grants must follow the model's order exactly and
+// Waiters must equal the model's length after every step, across enough
+// handoffs that the queue wraps its storage several times.
+func TestLockFIFOManyWaitersAndLateArrivals(t *testing.T) {
+	const nodes, rounds = 24, 5
+	r := newRig(nodes)
+	lk := r.lock()
+	var model, want, order []int
+	grants := make([]int, nodes)
+	check := func(when string) {
+		t.Helper()
+		if lk.Waiters() != len(model) {
+			t.Fatalf("%s: Waiters() = %d, model queue %v", when, lk.Waiters(), model)
+		}
+	}
+	var acquire func(i int)
+	grant := func(i int) {
+		order = append(order, i)
+		grants[i]++
+		r.k.AfterTask(40, sim.Func(func() {
+			lk.ReleaseRetired()
+			if len(model) > 0 {
+				want = append(want, model[0])
+				model = model[1:]
+			}
+			check("after release")
+			if grants[i] < rounds {
+				acquire(i)
+			}
+		}))
+	}
+	acquire = func(i int) {
+		if lk.Held() {
+			model = append(model, i)
+		} else {
+			want = append(want, i)
+		}
+		lk.Acquire(r.nodes[i], sim.Func(func() { grant(i) }))
+		check("after acquire")
+	}
+	acquire(0)
+	for i := 1; i < nodes; i++ {
+		acquire(i)
+	}
+	r.k.Run(nil)
+	if len(order) != nodes*rounds {
+		t.Fatalf("%d grants, want %d", len(order), nodes*rounds)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("grant %d went to node %d, want %d (order %v)", i, order[i], want[i], order)
+		}
+	}
+	if lk.Held() || lk.Waiters() != 0 {
+		t.Errorf("after the last release: held=%v waiters=%d", lk.Held(), lk.Waiters())
+	}
+}
+
+// TestLockAcquireDuringHandoff: an Acquire issued in the cycle of a
+// release, while the handoff's ownership transaction is in flight, queues
+// behind the waiters already there.
+func TestLockAcquireDuringHandoff(t *testing.T) {
+	r := newRig(4)
+	lk := r.lock()
+	var order []int
+	acq := func(i int) {
+		lk.Acquire(r.nodes[i], sim.Func(func() {
+			order = append(order, i)
+			if i != 0 {
+				r.k.AfterTask(20, sim.Func(func() { lk.ReleaseRetired() }))
+			}
+		}))
+	}
+	acq(0)
+	acq(1)
+	acq(2)
+	r.k.Run(nil)
+	lk.ReleaseRetired() // node 0 hands off to node 1
+	if lk.Waiters() != 1 || lk.Holder() != 1 {
+		t.Fatalf("after the release: waiters=%d holder=%d, want 1 and 1", lk.Waiters(), lk.Holder())
+	}
+	acq(3)
+	if lk.Waiters() != 2 {
+		t.Fatalf("after the late Acquire: waiters=%d, want 2", lk.Waiters())
+	}
+	r.k.Run(nil)
+	if len(order) != 4 || order[0] != 0 || order[1] != 1 || order[2] != 2 || order[3] != 3 {
+		t.Errorf("grant order = %v, want [0 1 2 3]", order)
+	}
+}
+
+// grantee is a prebuilt grant completion: it counts its grants.
+type grantee struct{ grants int }
+
+func (g *grantee) Act() { g.grants++ }
+
+// BenchmarkLockHandoff64: one op is a lock handoff with 64 queued
+// waiters: the holder releases, the oldest waiter's ownership
+// transaction runs to completion, and the old holder queues again, so the
+// queue stays 64 deep. It must report 0 allocs/op.
+func BenchmarkLockHandoff64(b *testing.B) {
+	const waiters = 64
+	r := newRig(waiters + 1)
+	lk := r.lock()
+	gs := make([]grantee, waiters+1)
+	for i := range gs {
+		lk.Acquire(r.nodes[i], &gs[i])
+	}
+	r.k.Run(nil)
+	handoff := func() {
+		old := lk.Holder()
+		lk.ReleaseRetired()
+		r.k.Run(nil)
+		lk.Acquire(r.nodes[old], &gs[old])
+		r.k.Run(nil)
+	}
+	for i := 0; i < 2*(waiters+1); i++ { // warm up: the queue wraps twice
+		handoff()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		handoff()
+	}
+	b.StopTimer()
+	if lk.Waiters() != waiters {
+		b.Fatalf("queue depth %d, want %d", lk.Waiters(), waiters)
+	}
+}

@@ -448,3 +448,48 @@ func TestSummaryRenders(t *testing.T) {
 		}
 	}
 }
+
+// FuzzReadReport feeds arbitrary bytes to ReadReport. It must never
+// panic, and an accepted report is stable: re-encoding it and reading
+// that back gives the same encoding. Seeds are the version-skew table's
+// bodies plus a few malformed ones.
+func FuzzReadReport(f *testing.F) {
+	for _, body := range []string{
+		`{"interval":64,"elapsed":1,"procs":1}`,
+		`{"schema_version":1,"interval":64,"elapsed":1,"procs":1}`,
+		`{"schema_version":4,"interval":64,"elapsed":1,"procs":1}`,
+		fmt.Sprintf(`{"schema_version":%d,"interval":64,"elapsed":1,"procs":1}`, ReportSchema),
+		fmt.Sprintf(`{"schema_version":%d,"interval":64,"elapsed":1,"procs":1}`, ReportSchema+1),
+		`{"schema_version":999}`,
+		`{"schema_version":"4"}`,
+		`{"interval":-1,"procs":1e9}`,
+		`[]`, `null`, `{`, ``,
+	} {
+		f.Add([]byte(body))
+	}
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		path := filepath.Join(dir, "in.report.json")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := ReadReport(path)
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatalf("accepted report does not re-encode: %v", err)
+		}
+		if err := os.WriteFile(path, enc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadReport(path)
+		if err != nil {
+			t.Fatalf("re-encoded report %s refused: %v", enc, err)
+		}
+		if enc2, _ := json.Marshal(again); !bytes.Equal(enc, enc2) {
+			t.Fatalf("round trip changed the report:\n  %s\n  %s", enc, enc2)
+		}
+	})
+}

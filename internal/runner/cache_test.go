@@ -169,3 +169,51 @@ func TestRunnerWarmCache(t *testing.T) {
 		}
 	}
 }
+
+// FuzzCacheLoad feeds arbitrary bytes to Cache.Load as the entry for a
+// key. A bad entry must be a miss, never a panic, and an accepted entry
+// re-encodes to an equal result: storing it and loading it back gives
+// the same encoding. Seeds are the round-trip, stale-schema and corrupt
+// entries of the table tests above.
+func FuzzCacheLoad(f *testing.F) {
+	j := testJob(0)
+	key := j.Key()
+	good, err := json.Marshal(cacheEntry{Schema: SchemaVersion, Key: key, Job: j, Result: richResult()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	stale, _ := json.Marshal(cacheEntry{Schema: SchemaVersion - 1, Key: key, Job: j, Result: richResult()})
+	wrongKey, _ := json.Marshal(cacheEntry{Schema: SchemaVersion, Key: "other", Job: j, Result: richResult()})
+	noResult, _ := json.Marshal(cacheEntry{Schema: SchemaVersion, Key: key, Job: j})
+	for _, b := range [][]byte{good, stale, wrongKey, noResult, []byte("{torn"), []byte("null"), nil} {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dir := t.TempDir()
+		c, err := OpenCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, key+".json"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, ok := c.Load(key)
+		if !ok {
+			return
+		}
+		enc, err := json.Marshal(res)
+		if err != nil {
+			t.Fatalf("accepted result does not re-encode: %v", err)
+		}
+		if err := c.Store(key, j, res); err != nil {
+			t.Fatalf("accepted result does not store: %v", err)
+		}
+		again, ok := c.Load(key)
+		if !ok {
+			t.Fatal("re-stored entry is a miss")
+		}
+		if enc2, _ := json.Marshal(again); string(enc) != string(enc2) {
+			t.Fatalf("round trip changed the result:\n  %s\n  %s", enc, enc2)
+		}
+	})
+}
